@@ -18,32 +18,35 @@ test:
 # harness) under the race detector. -short selects the reduced experiment
 # grids and fuzz corpus so the race-instrumented pass stays within CI
 # budgets even at -count=2; the full grids run race-free via `make test`.
+# The UnderLoad lane reruns the multi-vCPU determinism tests at
+# GOMAXPROCS >= 4 with a busy loop competing for the host's CPUs.
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race -short ./internal/vclock/... ./internal/experiments/... ./internal/check/...
+	$(GO) test -race -count=3 -run 'UnderLoad' ./internal/vclock/ ./internal/backend/
 
-# fuzz sweeps the full metamorphic corpus (14 variants per seed, including
-# the horizon-parallel engine at worker budgets 2 and 4, the lifecycle and
-# ranged VMA-mutation fast lanes disabled, and dirty-page logging armed)
-# plus the backend differential grids without the race detector's slowdown.
+# fuzz sweeps the full metamorphic corpus (10 variants per seed, including
+# the lifecycle and ranged VMA-mutation fast lanes disabled, and dirty-page
+# logging armed) plus the backend differential grids without the race
+# detector's slowdown.
 fuzz:
-	$(GO) test -count=1 -run 'TestMetamorphicCorpus|TestSoloBypassDifferential|TestParallelEngineDifferential|TestLifecycleFastLaneDifferential|TestDirtyLogVariantDifferential' ./internal/check/
+	$(GO) test -count=1 -run 'TestMetamorphicCorpus|TestLifecycleFastLaneDifferential|TestDirtyLogVariantDifferential' ./internal/check/
 	$(GO) test -count=1 -run 'TestRangedAccessEquivalence|TestForkTeardownEquivalence|TestDirtyLog|TestVMAMutation' ./internal/backend/
 
-# bench regenerates BENCH_pr10.json: the TouchRange, ColdFault,
+# bench regenerates BENCH_pr14.json: the TouchRange, ColdFault,
 # ProcessLifecycle, VMAMutation, MultiVCPUContention, and DirtyScan grids
 # plus the PreCopy experiment benchmark across all five MMU backends, and
-# the serial and engine-parallel default-grid wall clocks (compared against
-# BENCH_pr9.json's baseline).
+# the serial default-grid wall clock (compared against BENCH_pr9.json's
+# baseline).
 bench:
-	$(GO) run ./cmd/benchreport -out BENCH_pr10.json
+	$(GO) run ./cmd/benchreport -out BENCH_pr14.json
 
 # bench-diff compares the two most recent bench artifacts cell by cell and
 # fails on regressions beyond the default threshold; it refuses to compare
 # artifacts measured at different benchtimes or host parallelism.
 bench-diff:
-	$(GO) run ./cmd/benchreport -diff BENCH_pr9.json BENCH_pr10.json
+	$(GO) run ./cmd/benchreport -diff BENCH_pr9.json BENCH_pr14.json
 
 # microbench runs the low-level hot-path benchmarks of the simulator core.
 microbench:

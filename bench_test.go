@@ -223,8 +223,7 @@ func BenchmarkTouchRangeFaultingPerPage(b *testing.B) {
 // Cold-fault benchmarks: ns/op is the simulator's cost per *page* populated
 // by a fresh process touching a cold region — every page runs the full
 // demand-zero fault choreography against empty page tables, the workload the
-// cold-fault fast lane (solo-vCPU engine bypass + bulk leaf population)
-// targets. ColdFaultRange drives the ranged path, ColdFault the per-page
+// cold-fault fast lane (bulk leaf population) targets. ColdFaultRange drives the ranged path, ColdFault the per-page
 // reference; BENCH_pr3.json pairs them per backend.
 
 func benchColdFault(b *testing.B, cfg Config, direct, ranged bool) {
@@ -237,7 +236,7 @@ func benchColdFault(b *testing.B, cfg Config, direct, ranged bool) {
 	}
 	// One short-lived process per chunk: each starts from an empty address
 	// space (beyond the image) so every touched page is a cold fault, and
-	// with one runnable vCPU the engine's solo bypass is on the path.
+	// with one runnable vCPU every engine gate is satisfied at once.
 	const chunk = 512
 	n := b.N
 	b.ReportAllocs()
@@ -271,36 +270,28 @@ func BenchmarkColdFaultRange(b *testing.B) {
 	}
 }
 
-// Multi-vCPU contention benchmarks: ns/op is the simulator's cost per page
+// Multi-vCPU contention benchmark: ns/op is the simulator's cost per page
 // when b.N total pages of fault/map/unmap work are divided across 1/2/4/8
-// concurrently running processes. Each (backend, vcpus) cell runs twice —
-// under the serial conservative engine and under the horizon-parallel
-// executor (EngineWorkers=4) — and the two schedules are bit-identical
-// (TestParallelEngineDifferential), so the pair isolates the host-side win
-// of dispatching independent sub-horizon segments across workers.
-// BENCH_pr7.json pairs them.
+// concurrently running processes on one engine, so it measures the vclock
+// scheduler's per-switch cost as the vCPU count grows.
 
-// contentionVCPUs are the per-cell process counts; 1 pins the solo-bypass
-// precedence (the parallel arm must not slow the single-vCPU case down).
+// contentionVCPUs are the per-cell process counts.
 var contentionVCPUs = []int{1, 2, 4, 8}
 
-func benchMultiVCPU(b *testing.B, cfg Config, direct bool, vcpus, workers int) {
+func benchMultiVCPU(b *testing.B, cfg Config, direct bool, vcpus int) {
 	opt := DefaultOptions()
 	opt.DirectPaging = direct
-	opt.EngineWorkers = workers
 	sys := NewSystem(cfg, opt)
 	g, err := sys.NewGuest("bench")
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Each process faults through private windows, so most virtual charges
-	// are exact page-fault latencies the parallel executor can pool; the
-	// map/unmap churn keeps the guest kernel's lock on the path.
+	// Each process faults through private windows; the map/unmap churn
+	// keeps the guest kernel's lock on the path.
 	const window = 256
 	per := (b.N + vcpus - 1) / vcpus
 	b.ReportAllocs()
 	b.ResetTimer()
-	release := sys.Eng.Hold()
 	for w := 0; w < vcpus; w++ {
 		g.Run(0, 4, func(p *Process) {
 			for i := 0; i < per; i += window {
@@ -316,7 +307,6 @@ func benchMultiVCPU(b *testing.B, cfg Config, direct bool, vcpus, workers int) {
 			}
 		})
 	}
-	release()
 	sys.Eng.Wait()
 	b.StopTimer()
 	if err := sys.Eng.Err(); err != nil {
@@ -327,11 +317,8 @@ func benchMultiVCPU(b *testing.B, cfg Config, direct bool, vcpus, workers int) {
 func BenchmarkMultiVCPUContention(b *testing.B) {
 	for _, c := range touchRangeConfigs {
 		for _, v := range contentionVCPUs {
-			b.Run(fmt.Sprintf("%s/vcpus=%d/serial", c.name, v), func(b *testing.B) {
-				benchMultiVCPU(b, c.cfg, c.direct, v, 0)
-			})
-			b.Run(fmt.Sprintf("%s/vcpus=%d/parallel", c.name, v), func(b *testing.B) {
-				benchMultiVCPU(b, c.cfg, c.direct, v, 4)
+			b.Run(fmt.Sprintf("%s/vcpus=%d", c.name, v), func(b *testing.B) {
+				benchMultiVCPU(b, c.cfg, c.direct, v)
 			})
 		}
 	}
@@ -346,7 +333,6 @@ func BenchmarkConcurrentMembench(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		release := sys.Eng.Hold()
 		for w := 0; w < 16; w++ {
 			g.Run(0, 4, func(p *Process) {
 				base := p.Mmap(256)
@@ -356,7 +342,6 @@ func BenchmarkConcurrentMembench(b *testing.B) {
 				}
 			})
 		}
-		release()
 		sys.Eng.Wait()
 	}
 }

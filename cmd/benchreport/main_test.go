@@ -20,8 +20,8 @@ BenchmarkColdFaultRange/PVMNested-8   500000   80.00 ns/op
 BenchmarkColdFault/PVMNested-8        500000  240.00 ns/op
 BenchmarkProcessLifecycle/fork/PVMNested/pages=256-8   2000   5000 ns/op
 BenchmarkProcessLifecyclePerLeaf/fork/PVMNested/pages=256-8   2000   15000 ns/op
-BenchmarkMultiVCPUContention/PVMNested/vcpus=4/serial-8    500000   40.00 ns/op
-BenchmarkMultiVCPUContention/PVMNested/vcpus=4/parallel-8  500000   20.00 ns/op
+BenchmarkMultiVCPUContention/PVMNested/vcpus=4-8  500000   40.00 ns/op
+BenchmarkMultiVCPUContention/PVMNested/vcpus=4-8  500000   38.00 ns/op
 BenchmarkDirtyScan/KVMEPTBareMetal-8   1000000   14.50 ns/op
 BenchmarkDirtyScan/KVMEPTBareMetal-8   1000000   13.75 ns/op
 BenchmarkDirtyScan/PVMNested-8         1000000   95.30 ns/op
@@ -36,7 +36,7 @@ func newTestReport() *report {
 		TouchRange: map[string]map[string]*pair{"resident": {}, "faulting": {}},
 		ColdFault:  map[string]*pair{},
 		Lifecycle:  map[string]*lcPair{},
-		MultiVCPU:  map[string]*contCell{},
+		MultiVCPU:  map[string]float64{},
 		DirtyScan:  map[string]float64{},
 	}
 }
@@ -62,8 +62,8 @@ func TestParseBenchLines(t *testing.T) {
 	if lc := rep.Lifecycle["fork/PVMNested/pages=256"]; lc == nil || lc.FastNs != 5000 || lc.PerLeafNs != 15000 {
 		t.Errorf("lifecycle pair = %+v", lc)
 	}
-	if mv := rep.MultiVCPU["PVMNested/vcpus=4"]; mv == nil || mv.SerialNs != 40 || mv.ParallelNs != 20 {
-		t.Errorf("contention cell = %+v", mv)
+	if got := rep.MultiVCPU["PVMNested/vcpus=4"]; got != 38 {
+		t.Errorf("contention PVMNested/vcpus=4 = %v, want min-folded 38", got)
 	}
 	if got := rep.DirtyScan["KVMEPTBareMetal"]; got != 13.75 {
 		t.Errorf("dirty scan KVMEPTBareMetal = %v, want min-folded 13.75", got)

@@ -178,7 +178,6 @@ func TestRangedAccessEquivalenceMultiProc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		release := s.Eng.Hold()
 		for i := 0; i < 4; i++ {
 			g.Run(0, 8, func(p *guest.Process) {
 				for round := 0; round < 3; round++ {
@@ -191,7 +190,6 @@ func TestRangedAccessEquivalenceMultiProc(t *testing.T) {
 				}
 			})
 		}
-		release()
 		s.Eng.Wait()
 		if err := s.Eng.Err(); err != nil {
 			t.Fatal(err)

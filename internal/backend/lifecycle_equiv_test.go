@@ -225,7 +225,6 @@ func TestForkTeardownEquivalenceMultiProc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		release := s.Eng.Hold()
 		for i := 0; i < 4; i++ {
 			g.Run(0, 8, func(p *guest.Process) {
 				for round := 0; round < 2; round++ {
@@ -245,7 +244,6 @@ func TestForkTeardownEquivalenceMultiProc(t *testing.T) {
 				}
 			})
 		}
-		release()
 		s.Eng.Wait()
 		if err := s.Eng.Err(); err != nil {
 			t.Fatal(err)

@@ -196,7 +196,6 @@ func TestVMAMutationEquivalenceMultiProc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		release := s.Eng.Hold()
 		for i := 0; i < 4; i++ {
 			g.Run(0, 8, func(p *guest.Process) {
 				for round := 0; round < 2; round++ {
@@ -221,7 +220,6 @@ func TestVMAMutationEquivalenceMultiProc(t *testing.T) {
 				}
 			})
 		}
-		release()
 		s.Eng.Wait()
 		if err := s.Eng.Err(); err != nil {
 			t.Fatal(err)

@@ -1,8 +1,8 @@
 // Package check is the simulator's shared correctness oracle: a
-// deterministic metamorphic test harness for the fast paths PRs 1–3
-// introduced (indexed scheduler, ranged TLB-hit runs, solo-vCPU bypass,
-// span-cached page-table cursors, fused cost charging) and for those still
-// to come.
+// deterministic metamorphic test harness for the simulator's fast paths
+// (indexed scheduler, ranged TLB-hit runs, span-cached page-table cursors,
+// fused cost charging, the structural lifecycle and VMA lanes) and for those
+// still to come.
 //
 // The harness has three layers:
 //
@@ -13,7 +13,7 @@
 //  2. Structural invariant auditors that run at generated checkpoints and
 //     at end of run: shadow-vs-guest page-table coherence, TLB tag/PCID
 //     consistency, guest A/D discipline (backend.Guest.AuditProcess),
-//     vclock heap/solo agreement (vclock.Engine.Audit), per-vCPU clock
+//     vclock heap and lock-waiter agreement (vclock.Engine.Audit), per-vCPU clock
 //     monotonicity, and metrics conservation (world-switch exit legs ==
 //     entry legs, no guest frame leaks).
 //  3. A metamorphic layer (Verify) that reruns the same seed with fast

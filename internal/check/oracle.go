@@ -30,24 +30,19 @@ type Observation struct {
 	DirtyPages  int64
 	DirtyDigest uint64
 
-	// SoloGrants and ParallelGrants are informational and deliberately
-	// excluded from Diff: toggling or revoking the solo bypass changes how
-	// often that grant engages, and the horizon-parallel executor's
-	// run-ahead pooling depends on real-time worker interleaving — both
-	// while leaving every observable above untouched.
-	SoloGrants     int64
-	ParallelGrants int64
+	// SoloGrants is an informational engine diagnostic, not a virtual-time
+	// observable, and is deliberately excluded from Diff.
+	SoloGrants int64
 }
 
 // Capture collects the observable outcome of a system whose engine has
 // finished (Wait returned).
 func Capture(s *backend.System) Observation {
 	o := Observation{
-		Makespan:       s.Eng.Makespan(),
-		Clocks:         s.Eng.Clocks(),
-		Metrics:        s.Ctr.Snapshot(),
-		SoloGrants:     s.Eng.SoloGrants(),
-		ParallelGrants: s.Eng.ParallelGrants(),
+		Makespan:   s.Eng.Makespan(),
+		Clocks:     s.Eng.Clocks(),
+		Metrics:    s.Ctr.Snapshot(),
+		SoloGrants: s.Eng.SoloGrants(),
 	}
 	if s.Tracer != nil {
 		o.Events = s.Tracer.Len()

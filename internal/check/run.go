@@ -19,16 +19,13 @@ type Variant struct {
 
 	// Fast-path toggles.
 	ByPage       bool // ranged access off: TouchRange becomes the per-page loop
-	SoloOff      bool // vclock solo-vCPU engine bypass off
 	CursorBypass bool // pagetable Mapper/Reader span caches off
 	Eager        bool // fused cost charging off: every lazy charge gates immediately
 	LifecycleOff bool // fork/exec/exit structural fast lane off: per-leaf reference paths
 	VMAOff       bool // munmap/mprotect/dirty-arm structural fast lane off: per-page reference loops
-	Workers      int  // ≥ 2: vclock horizon-parallel executor at that worker budget
 
 	// Fault injections, applied at every generated checkpoint.
 	DropTLBCaches bool // invalidate the TLB's micro-TLB and run links
-	RevokeSolo    bool // force a solo-bypass revocation
 	SpuriousSync  bool // gate the vCPU for no reason
 
 	// DirtyLog arms dirty-page logging on every worker, collecting an epoch
@@ -44,20 +41,15 @@ func Variants() []Variant {
 	return []Variant{
 		{Name: "baseline"},
 		{Name: "by-page", ByPage: true},
-		{Name: "solo-off", SoloOff: true},
 		{Name: "cursor-bypass", CursorBypass: true},
 		{Name: "eager-charges", Eager: true},
 		{Name: "drop-tlb-caches", DropTLBCaches: true},
-		{Name: "revoke-solo", RevokeSolo: true},
 		{Name: "spurious-sync", SpuriousSync: true},
 		{Name: "lifecycle-off", LifecycleOff: true},
-		{Name: "parallel-engine", Workers: 2},
-		{Name: "parallel-engine-4", Workers: 4},
 		{Name: "dirtylog-on", DirtyLog: true},
 		{Name: "vma-off", VMAOff: true},
-		{Name: "everything", ByPage: true, SoloOff: true, CursorBypass: true,
-			Eager: true, LifecycleOff: true, VMAOff: true, DropTLBCaches: true,
-			RevokeSolo: true, SpuriousSync: true, Workers: 4},
+		{Name: "everything", ByPage: true, CursorBypass: true, Eager: true,
+			LifecycleOff: true, VMAOff: true, DropTLBCaches: true, SpuriousSync: true},
 	}
 }
 
@@ -78,14 +70,8 @@ func runVariant(p *Program, v Variant, inspect func(*backend.System)) (Observati
 		if inspect != nil {
 			defer func() { inspect(sys) }()
 		}
-		if v.SoloOff {
-			sys.Eng.SetSoloBypass(false)
-		}
 		if v.Eager {
 			sys.Eng.SetEagerCharges(true)
-		}
-		if v.Workers > 1 {
-			sys.Eng.SetParallel(v.Workers)
 		}
 		g, err := sys.NewGuest("fuzz")
 		if err != nil {
@@ -96,10 +82,7 @@ func runVariant(p *Program, v Variant, inspect func(*backend.System)) (Observati
 		if v.DirtyLog {
 			in.dirty = make([]dirtyAcc, len(p.Workers))
 		}
-		// Launch all workers behind the engine's starting barrier so the
-		// schedule cannot depend on how far an early worker's goroutine
-		// races before the last one is admitted to the runnable heap.
-		release := sys.Eng.Hold()
+		// Workers only register here; they start together at Wait.
 		for wi, w := range p.Workers {
 			wi, w := wi, w
 			g.Run(w.Start, w.ImagePages, func(proc *guest.Process) {
@@ -118,7 +101,6 @@ func runVariant(p *Program, v Variant, inspect func(*backend.System)) (Observati
 				}
 			})
 		}
-		release()
 		sys.Eng.Wait()
 		if err := sys.Eng.Err(); err != nil {
 			runErr = err
@@ -425,9 +407,6 @@ func (in *interp) checkpoint(ctx *pctx) {
 	c := ctx.p.CPU
 	if in.v.DropTLBCaches {
 		in.g.DropTLBCaches(ctx.p)
-	}
-	if in.v.RevokeSolo {
-		in.sys.Eng.RevokeSolo()
 	}
 	if in.v.SpuriousSync {
 		c.Sync()

@@ -219,17 +219,10 @@ func (r *Runtime) DeployFleet(n int, imagePages int, stagger int64, workload fun
 		}
 		cs[i] = c
 	}
-	// Hold the engine while the burst is admitted: without the barrier the
-	// first containers can start executing before the later ones are in the
-	// scheduling heap, and the conservative minimum — computed over an
-	// incomplete vCPU set — depends on how the Go scheduler interleaves this
-	// loop with the fleet (observable at GOMAXPROCS > 1).
-	release := r.Sys.Eng.Hold()
 	for i, c := range cs {
 		idx := i
 		c.Start(int64(i)*stagger, 64, func(p *guest.Process) { workload(idx, p) })
 	}
-	release()
 	r.Sys.Eng.Wait()
 	return cs, nil
 }

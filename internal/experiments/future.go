@@ -43,21 +43,17 @@ func futureExp(sc Scale, w io.Writer) error {
 		v := variants[i]
 		opt := backend.DefaultOptions()
 		opt.Cores = sc.Cores
-		opt.EngineWorkers = sc.EngineWorkers
 		v.mut(&opt)
 		s := backend.NewSystem(backend.PVMNST, opt)
 		g, err := s.NewGuest("future")
 		if err != nil {
 			panic(err)
 		}
-		// Hold the engine across the admission loop (see memRun).
-		release := s.Eng.Hold()
 		for j := 0; j < procs; j++ {
 			g.Run(0, 4, func(p *guest.Process) {
 				workloads.MembenchCycle(p, pages)
 			})
 		}
-		release()
 		s.Eng.Wait()
 		snap := s.Ctr.Snapshot()
 		perFault := float64(0)
@@ -136,20 +132,17 @@ func migrationExp(sc Scale, w io.Writer) error {
 		}
 		var ok bool
 		var why string
-		done := make(chan struct{})
 		s.Eng.Go(0, func(c *vclock.CPU) {
 			p, err := g.Kern.StartProcess(c, 16)
 			if err != nil {
 				panic(err)
 			}
 			ok, why = s.CanMigrateL1()
-			close(done)
 			if err := p.Exit(); err != nil {
 				panic(err)
 			}
 		})
 		s.Eng.Wait()
-		<-done
 		t.Rows = append(t.Rows, metrics.TableRow{
 			Label: cfg.String(),
 			Cells: []string{fmt.Sprintf("%v", ok), why},

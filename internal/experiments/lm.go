@@ -57,22 +57,18 @@ func table3(sc Scale, w io.Writer) error {
 func lmProcRun(cfg backend.Config, sc Scale, procs int) map[string]int64 {
 	opt := backend.DefaultOptions()
 	opt.Cores = sc.Cores
-	opt.EngineWorkers = sc.EngineWorkers
 	s := backend.NewSystem(cfg, opt)
 	g, err := s.NewGuest("lmbench")
 	if err != nil {
 		panic(err)
 	}
 	all := make([][]lmbench.Result, procs)
-	// Hold the engine across the admission loop (see memRun).
-	release := s.Eng.Hold()
 	for i := 0; i < procs; i++ {
 		idx := i
 		g.Run(0, lmbench.ProcImagePages, func(p *guest.Process) {
 			all[idx] = lmbench.ProcSuite(p, sc.LMIters)
 		})
 	}
-	release()
 	s.Eng.Wait()
 	out := map[string]int64{}
 	counts := map[string]int64{}

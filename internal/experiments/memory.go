@@ -19,17 +19,12 @@ func init() {
 // `procs` concurrent processes and returns the makespan in virtual ns.
 func memRun(cfg backend.Config, opt backend.Options, sc Scale, procs int, cycle bool) int64 {
 	opt.Cores = sc.Cores
-	opt.EngineWorkers = sc.EngineWorkers
 	s := backend.NewSystem(cfg, opt)
 	g, err := s.NewGuest("membench")
 	if err != nil {
 		panic(err)
 	}
 	pages := sc.MembenchMiB * workloads.PagesPerMiB
-	// Admit the whole process set under an engine hold so the conservative
-	// minimum is computed over the complete vCPU population regardless of
-	// how the host scheduler interleaves this loop with the guests.
-	release := s.Eng.Hold()
 	for i := 0; i < procs; i++ {
 		g.Run(0, 4, func(p *guest.Process) {
 			if cycle {
@@ -39,7 +34,6 @@ func memRun(cfg backend.Config, opt backend.Options, sc Scale, procs int, cycle 
 			}
 		})
 	}
-	release()
 	s.Eng.Wait()
 	return s.Eng.Makespan()
 }

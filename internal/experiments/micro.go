@@ -211,11 +211,8 @@ func fig2(sc Scale, w io.Writer) error {
 // and returns the mean per-container measured time.
 func runConcurrent(cfg backend.Config, opt backend.Options, sc Scale, conc int, fn func(p *guest.Process) int64) int64 {
 	opt.Cores = sc.Cores
-	opt.EngineWorkers = sc.EngineWorkers
 	s := backend.NewSystem(cfg, opt)
 	results := make([]int64, conc)
-	// Hold the engine across the admission loop (see memRun).
-	release := s.Eng.Hold()
 	for i := 0; i < conc; i++ {
 		g, err := s.NewGuest(fmt.Sprintf("g%02d", i))
 		if err != nil {
@@ -226,7 +223,6 @@ func runConcurrent(cfg backend.Config, opt backend.Options, sc Scale, conc int, 
 			results[idx] = fn(p)
 		})
 	}
-	release()
 	s.Eng.Wait()
 	var sum int64
 	for _, r := range results {

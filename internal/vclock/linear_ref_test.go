@@ -5,7 +5,8 @@ package vclock
 // heap engine's behaviour: both implement "act only at the global minimum
 // (clock, id), hand contended locks to the smallest waiter", so a randomized
 // workload driven through both must produce the exact same event order. Any
-// divergence is a bug in the heap/intent machinery, not a modelling choice.
+// divergence is a bug in the heap engine or its scheduler, not a modelling
+// choice.
 
 import "sync"
 
@@ -14,6 +15,10 @@ type linEngine struct {
 	cpus  []*linCPU
 	cores int
 	wg    sync.WaitGroup
+
+	// pending holds the registered vCPUs' functions until wait starts them,
+	// so no vCPU can act before its peers are in the min-scan.
+	pending []func()
 }
 
 type linCPU struct {
@@ -68,14 +73,14 @@ func (c *linCPU) flushLazyLocked() {
 	c.lazy = 0
 }
 
+// goCPU registers a vCPU; it starts running at wait, together with every
+// other vCPU registered before it.
 func (e *linEngine) goCPU(start int64, fn func(c *linCPU)) {
 	e.mu.Lock()
 	c := &linCPU{id: len(e.cpus), e: e, now: start, runnable: true, wake: make(chan struct{}, 1)}
 	e.cpus = append(e.cpus, c)
-	e.signalMinLocked()
 	e.mu.Unlock()
-	e.wg.Add(1)
-	go func() {
+	e.pending = append(e.pending, func() {
 		defer e.wg.Done()
 		fn(c)
 		e.mu.Lock()
@@ -83,10 +88,17 @@ func (e *linEngine) goCPU(start int64, fn func(c *linCPU)) {
 		c.runnable = false
 		e.signalMinLocked()
 		e.mu.Unlock()
-	}()
+	})
 }
 
-func (e *linEngine) wait() { e.wg.Wait() }
+func (e *linEngine) wait() {
+	e.wg.Add(len(e.pending))
+	for _, run := range e.pending {
+		go run()
+	}
+	e.pending = nil
+	e.wg.Wait()
+}
 
 func (c *linCPU) advance(d int64) {
 	e := c.e

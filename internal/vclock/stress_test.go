@@ -207,3 +207,107 @@ func TestPanicAbortsAndDrains(t *testing.T) {
 		t.Fatalf("Err() = %v, want the workload panic message", err)
 	}
 }
+
+// TestParallelPanicDrain is the abort path with many vCPUs running in
+// parallel on a finite core budget: each loop iteration also charges
+// Compute, so at the panic some peers are parked with dilated compute
+// charges at the gate and others on the lock. The panic must surface
+// through Engine.Err and every peer must drain instead of deadlocking.
+func TestParallelPanicDrain(t *testing.T) {
+	e := NewEngine()
+	e.SetCores(4)
+	l := e.NewLock("mmu")
+	for i := 0; i < 8; i++ {
+		e.Go(0, func(c *CPU) {
+			for j := 0; j < 100000; j++ {
+				l.With(c, 10, nil)
+				c.Advance(5)
+				c.Compute(3)
+			}
+		})
+	}
+	e.Go(0, func(c *CPU) {
+		c.Advance(50_000)
+		panic("boom")
+	})
+	done := make(chan struct{})
+	go func() {
+		e.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Wait did not return after a workload panic (drain deadlock)")
+	}
+	err := e.Err()
+	if err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("Err() = %v, want the workload panic message", err)
+	}
+}
+
+// TestWaitReportsDeadlock: a vCPU that finishes while holding a lock leaves
+// its waiter with no runnable vCPU to hand the lock over. Wait must return
+// with an Err naming the deadlock instead of hanging, and unwind the waiter.
+func TestWaitReportsDeadlock(t *testing.T) {
+	e := NewEngine()
+	l := e.NewLock("leaked")
+	e.Go(0, func(c *CPU) {
+		l.Acquire(c)
+		c.Advance(10)
+	})
+	unwound := false
+	e.Go(5, func(c *CPU) {
+		defer func() { unwound = true }()
+		l.Acquire(c)
+		t.Error("waiter acquired a lock that was never released")
+	})
+	done := make(chan struct{})
+	go func() {
+		e.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Wait did not return on a deadlocked run")
+	}
+	err := e.Err()
+	if err == nil || !strings.Contains(err.Error(), "deadlock") || !strings.Contains(err.Error(), `"leaked"`) {
+		t.Fatalf("Err() = %v, want a deadlock on lock \"leaked\"", err)
+	}
+	if !unwound {
+		t.Fatal("the deadlocked waiter was not unwound")
+	}
+	if err := e.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMidRunAudit runs the structural audit from a workload vCPU between
+// operations while its peers are parked at the gate or on a lock.
+func TestMidRunAudit(t *testing.T) {
+	e := NewEngine()
+	e.SetCores(4)
+	l := e.NewLock("mmu")
+	for i := 0; i < 6; i++ {
+		e.Go(0, func(c *CPU) {
+			for j := 0; j < 500; j++ {
+				c.Advance(int64(2 + j%5))
+				if j%7 == 0 {
+					l.With(c, 3, nil)
+				}
+				if j%17 == 0 {
+					c.Sync()
+					if err := e.Audit(); err != nil {
+						panic(err)
+					}
+				}
+			}
+		})
+	}
+	e.Wait()
+	if err := e.Err(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,13 +1,21 @@
 // Package vclock implements a deterministic discrete-virtual-time execution
 // engine for the PVM simulator.
 //
-// Workload code runs on ordinary goroutines, one per simulated vCPU, and
+// Each simulated vCPU runs its workload as a coroutine (iter.Pull) and
 // advances a per-vCPU virtual clock (int64 nanoseconds) as it charges costs.
 // The engine enforces a conservative ordering discipline: a vCPU may only
 // perform an operation when its clock is the global minimum among runnable
-// vCPUs (ties broken by vCPU id). Together with explicit virtual locks this
-// makes every simulation deterministic regardless of how the Go scheduler
-// interleaves the goroutines.
+// vCPUs (ties broken by vCPU id). Engine.Go only registers a vCPU; nothing
+// runs until Engine.Wait, which is the scheduler: a single-threaded loop
+// that resumes the minimum-clock vCPU until none is left. Schedules are
+// therefore deterministic by construction, at any GOMAXPROCS and under any
+// host load, and no engine state needs a mutex.
+//
+// A gating operation (Advance, Compute, Sync, Acquire, Release) folds the
+// vCPU's pending lazy charges into its clock, yields to the scheduler until
+// the vCPU is the heap root, performs the operation, and keeps running
+// without yielding. Work between gating operations touches only per-vCPU
+// state (the gate-first rule), so it may run ahead of its virtual slot.
 //
 // Virtual locks model serialization (e.g. KVM's global mmu_lock versus PVM's
 // fine-grained shadow-page-table locks). Acquiring a contended lock advances
@@ -17,33 +25,19 @@
 //
 // Runnable vCPUs are indexed by a binary min-heap keyed on (clock, id), so
 // admitting a vCPU, advancing a clock, and acquiring a lock all cost
-// O(log #vCPUs); the minimum is found in O(1). Wakeups are targeted: every
-// state change signals only the vCPU that now holds the minimum clock, so
-// each operation wakes at most one goroutine. The heap's key order is the
+// O(log #vCPUs); the minimum is found in O(1). The heap's key order is the
 // same (now, id) tie-break a linear min-scan would use, so schedules are
 // bit-identical to a reference O(n) implementation of the same discipline
 // (asserted by TestHeapMatchesLinearReference).
 //
-// The horizon-parallel executor (SetParallel) relaxes when a vCPU's
-// goroutine may run, never when its effects commit: an Advance by a non-root
-// vCPU is pooled into a per-vCPU run-ahead sum instead of parking the vCPU
-// at the min-clock gate, and the vCPU keeps driving its segment — per the
-// gate-first rule, work between gating operations touches only per-vCPU
-// state, so up to `workers` such segments proceed concurrently. The pooled
-// sum itself commits through the ordinary root cascade at exactly the
-// vCPU's virtual slot (processRootLocked), below the horizon formed by
-// every other vCPU's committed clock. Everything order-sensitive — Sync,
-// Acquire, Release, Compute (its dilation reads the runnable count), and
-// departure — still commits fully serialized at the heap root, so
-// schedules, clocks, and observables are bit-identical to the serial
-// engine by construction.
+// Host parallelism comes from running independent engines (one per
+// experiment cell) on separate goroutines; one engine is never shared
+// between goroutines other than through its own scheduler.
 package vclock
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"slices"
 )
 
 // state of a simulated vCPU with respect to the scheduler.
@@ -57,8 +51,6 @@ const (
 
 // Engine coordinates a set of simulated vCPUs.
 type Engine struct {
-	mu sync.Mutex
-
 	cpus []*CPU
 
 	// heap indexes the running vCPUs as a binary min-heap ordered by
@@ -70,28 +62,10 @@ type Engine struct {
 	// unlimited (no dilation).
 	cores int
 
-	// aborted is set when a workload panics; every parked vCPU is woken
-	// and unwound so Wait can drain the run instead of deadlocking on the
-	// min-clock gate.
+	// aborted is set when a workload panics or the run deadlocks; Wait
+	// then unwinds every unfinished vCPU instead of scheduling it.
 	aborted bool
 	err     error
-
-	// solo is the vCPU currently granted the solo fast path, or nil. When
-	// exactly one vCPU is runnable and no lock intents or waiters exist,
-	// that vCPU trivially holds the global minimum clock at every
-	// operation, so Advance/Compute/Sync/Acquire/Release can skip e.mu and
-	// the heap entirely (see CPU.soloFast). Guarded by e.mu; the grant is
-	// published to the vCPU through its soloActive flag and revoked with
-	// exitSoloLocked's handshake.
-	solo *CPU
-
-	// soloOff disables the solo fast path (SetSoloBypass); the tests use
-	// it to pin the bypass against the fully gated engine.
-	soloOff bool
-
-	// hold, when non-nil, is the armed starting barrier (see Hold): vCPU
-	// goroutines launched by Go park on it before running their workload.
-	hold chan struct{}
 
 	// eager disables fused cost charging (SetEagerCharges): AdvanceLazy
 	// becomes an immediate Advance. Schedules are bit-identical either
@@ -99,32 +73,15 @@ type Engine struct {
 	// fully eager engine.
 	eager bool
 
-	// soloGrants counts solo-mode entries (diagnostic; lets tests assert
-	// the bypass actually engaged).
+	// solo is the vCPU the runnable set last narrowed to: the sole running
+	// vCPU with no lock waiters. Any change to the heap's membership clears
+	// it; soloGrants counts how many times it was set (see noteSolo).
+	solo       *CPU
 	soloGrants int64
 
-	// par, when ≥ 2, is the worker budget of the horizon-parallel executor
-	// (SetParallel): at most par vCPUs may run ahead of the heap root with
-	// an uncommitted charge pool at once. Zero (the default) disables the
-	// executor; every charge takes the serial heap path.
-	par int
-
-	// grantsOut counts vCPUs currently running ahead (CPU.ahead > 0).
-	// Incremented when a pool opens, decremented when the root cascade
-	// commits it, bounding concurrent run-ahead segments by par.
-	grantsOut int
-
-	// parGrants counts charges the horizon-parallel executor deferred into
-	// run-ahead pools (diagnostic; lets tests assert the executor engaged).
-	parGrants int64
-
 	// lockWaiters counts vCPUs parked on lock waiter queues (state
-	// lockWait). Solo mode is never granted while any exist: a release by
-	// the would-be solo vCPU must go through the engine to hand the lock
-	// off deterministically.
+	// lockWait).
 	lockWaiters int
-
-	wg sync.WaitGroup
 }
 
 // NewEngine returns an engine with unlimited simulated cores.
@@ -133,64 +90,14 @@ func NewEngine() *Engine {
 }
 
 // SetCores bounds simulated hardware parallelism; see Engine.cores.
-// Must be called before any vCPU starts executing.
+// Must be called before Wait.
 func (e *Engine) SetCores(n int) { e.cores = n }
 
-// SetSoloBypass enables or disables the solo-vCPU fast path (enabled by
-// default). Schedules are bit-identical either way; the differential tests
-// run both settings against the linear reference.
-func (e *Engine) SetSoloBypass(on bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.soloOff = !on
-	if !on && e.solo != nil {
-		e.exitSoloLocked()
-	}
-	if on {
-		e.maybeEnterSoloLocked()
-	}
-}
-
-// SoloGrants returns how many times the engine entered solo mode
-// (diagnostic, for tests).
-func (e *Engine) SoloGrants() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.soloGrants
-}
-
-// SetParallel sets the worker budget of the horizon-parallel executor: up
-// to workers vCPUs may pool latency charges (Advance) into a per-vCPU
-// run-ahead sum and keep driving their segments concurrently instead of
-// parking at the min-clock gate, eliminating the park/wake round trip the
-// serial engine pays per gated operation in multi-vCPU cells. workers < 2
-// disables the executor (the default). Safe to call mid-run.
-//
-// Schedules are bit-identical at every setting: a pooled sum still commits
-// through the root cascade at exactly the vCPU's virtual slot (see
-// runAheadLocked for the argument), and every order-sensitive operation
-// stays serialized at the heap root. The solo bypass takes precedence —
-// when exactly one vCPU is runnable it skips the engine entirely.
-//
-// Like the serial engine, mid-run vCPU admission (Engine.Go / NewCPU) must
-// come from a driver goroutine, not from a running vCPU whose clock may be
-// ahead of the newcomer's start time.
-func (e *Engine) SetParallel(workers int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if workers < 2 {
-		workers = 0
-	}
-	e.par = workers
-}
-
-// ParallelGrants returns how many charges the horizon-parallel executor
-// deferred into run-ahead pools (diagnostic, for tests).
-func (e *Engine) ParallelGrants() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.parGrants
-}
+// SoloGrants returns how many times the runnable set narrowed to a single
+// vCPU with no lock waiters, observed at vCPU admission and departure and at
+// the end of each gating operation (diagnostic: a lone vCPU's gates are
+// always satisfied without a scheduler round trip).
+func (e *Engine) SoloGrants() int64 { return e.soloGrants }
 
 // SetEagerCharges disables (on=true) or restores (on=false) fused cost
 // charging: with eager charges every AdvanceLazy gates immediately like
@@ -198,48 +105,27 @@ func (e *Engine) ParallelGrants() int64 {
 // interaction with shared state, so the virtual-time observables — final
 // clocks, makespan, lock statistics, trace timestamps — are bit-identical
 // either way; the metamorphic harness uses this to pin the fused fast path
-// against the fully eager engine. Must be set before the vCPUs it affects
-// start executing.
-func (e *Engine) SetEagerCharges(on bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.eager = on
-}
-
-// RevokeSolo force-revokes any standing solo-bypass grant (fault injection
-// for the metamorphic harness). The engine re-grants naturally at the next
-// gated operation if conditions still allow, so accounting is unaffected;
-// only SoloGrants can differ.
-func (e *Engine) RevokeSolo() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.exitSoloLocked()
-}
+// against the fully eager engine. Must be set before Wait.
+func (e *Engine) SetEagerCharges(on bool) { e.eager = on }
 
 // Clocks returns every vCPU's current virtual time (pending lazy charges
-// and uncommitted run-ahead sums folded in), indexed by vCPU id. Safe to
-// call mid-run from a workload vCPU's own slot or after Wait.
+// folded in), indexed by vCPU id. Safe to call from a running vCPU or after
+// Wait.
 func (e *Engine) Clocks() []int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	out := make([]int64, len(e.cpus))
 	for i, c := range e.cpus {
-		out[i] = c.now + c.ahead + c.lazy
+		out[i] = c.now + c.lazy
 	}
 	return out
 }
 
 // Audit verifies the engine's structural invariants: the heap is a valid
 // (clock, id) min-heap with consistent back-indices, exactly the running
-// vCPUs are indexed, the engine-wide lock-waiter count matches the parked
-// vCPUs, the horizon-parallel executor's run-ahead accounting matches the
-// vCPUs holding uncommitted charge pools, and any standing solo grant
-// satisfies its preconditions (bypass enabled, exactly one runnable vCPU,
-// no lock intents, no waiters, no run-ahead pool). It is read-only and
-// safe to call from a workload vCPU between operations.
+// vCPUs are indexed, every lock-waiting vCPU is queued on the lock it
+// records, the engine-wide lock-waiter count matches, and a standing solo
+// mark names the sole runnable vCPU. It is read-only and safe to call from
+// a running vCPU between operations.
 func (e *Engine) Audit() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	for i, c := range e.heap {
 		if c.hi != i {
 			return fmt.Errorf("vclock: heap[%d] is vCPU %d with back-index %d", i, c.id, c.hi)
@@ -257,20 +143,7 @@ func (e *Engine) Audit() error {
 	}
 	inHeap := 0
 	waiters := 0
-	ahead := 0
 	for _, c := range e.cpus {
-		if c.ahead > 0 {
-			ahead++
-			if c.st != running {
-				return fmt.Errorf("vclock: run-ahead pool on non-running vCPU %d (state %d)", c.id, c.st)
-			}
-			if c.hi < 0 {
-				return fmt.Errorf("vclock: run-ahead pool on vCPU %d outside the heap", c.id)
-			}
-		}
-		if c.departing && c.st == running && c.ahead == 0 {
-			return fmt.Errorf("vclock: vCPU %d departing without a pending run-ahead pool", c.id)
-		}
 		switch c.st {
 		case running:
 			inHeap++
@@ -281,6 +154,9 @@ func (e *Engine) Audit() error {
 			waiters++
 			if c.hi != -1 {
 				return fmt.Errorf("vclock: lock-waiting vCPU %d still has heap index %d", c.id, c.hi)
+			}
+			if c.waitOn == nil || !slices.Contains(c.waitOn.waiters, c) {
+				return fmt.Errorf("vclock: lock-waiting vCPU %d is not queued on a lock", c.id)
 			}
 		case done:
 			if c.hi != -1 {
@@ -294,32 +170,15 @@ func (e *Engine) Audit() error {
 	if waiters != e.lockWaiters {
 		return fmt.Errorf("vclock: lockWaiters=%d but %d vCPUs are in lockWait", e.lockWaiters, waiters)
 	}
-	if ahead != e.grantsOut {
-		return fmt.Errorf("vclock: grantsOut=%d but %d vCPUs hold run-ahead pools", e.grantsOut, ahead)
-	}
-	if s := e.solo; s != nil {
-		switch {
-		case e.soloOff:
-			return fmt.Errorf("vclock: solo grant standing while the bypass is disabled")
-		case e.aborted:
-			return fmt.Errorf("vclock: solo grant standing on an aborted engine")
-		case len(e.heap) != 1 || e.heap[0] != s:
-			return fmt.Errorf("vclock: solo grant held by vCPU %d but %d vCPUs are runnable", s.id, len(e.heap))
-		case e.lockWaiters != 0:
-			return fmt.Errorf("vclock: solo grant standing with %d lock waiters", e.lockWaiters)
-		case s.pendingLock != nil:
-			return fmt.Errorf("vclock: solo vCPU %d has a pending lock intent", s.id)
-		case s.ahead > 0:
-			return fmt.Errorf("vclock: solo vCPU %d still holds a run-ahead pool", s.id)
-		case !s.soloActive.Load():
-			return fmt.Errorf("vclock: solo grant not published to vCPU %d", s.id)
-		}
+	if s := e.solo; s != nil && (len(e.heap) != 1 || e.heap[0] != s || e.lockWaiters != 0) {
+		return fmt.Errorf("vclock: solo mark on vCPU %d but %d vCPUs are runnable and %d wait on locks",
+			s.id, len(e.heap), e.lockWaiters)
 	}
 	return nil
 }
 
 // CPU is one simulated virtual CPU (or guest process context). All methods
-// must be called from the single goroutine driving this CPU.
+// must be called from the vCPU's own workload function.
 type CPU struct {
 	id  int
 	e   *Engine
@@ -329,114 +188,21 @@ type CPU struct {
 	// hi is the index in Engine.heap, or -1 while not running.
 	hi int
 
-	waiting bool
-	wake    chan struct{}
+	// waitOn is the lock this vCPU is queued on while in lockWait.
+	waitOn *Lock
 
-	// pendingLock, when non-nil, is a declared intent to acquire that lock
-	// as soon as this (parked) vCPU reaches the head of the heap. The vCPU
-	// that advances the clock past this one applies the intent inline
-	// (granting the lock or joining the waiter queue) without a park/wake
-	// round trip; see Engine.processRootLocked.
-	pendingLock *Lock
-
-	// ahead is the vCPU's uncommitted run-ahead pool: latency charges the
-	// horizon-parallel executor deferred so the goroutine could keep
-	// driving its segment instead of parking at the min-clock gate. The
-	// clock and heap key stay at the committed floor; the pool commits as
-	// one sum when the root cascade reaches this vCPU's slot
-	// (processRootLocked), which is exact because latency charges are
-	// order-insensitive — they read no schedule state and only their total
-	// matters. Accounted in Engine.grantsOut while positive. Guarded by
-	// e.mu.
-	ahead int64
-
-	// departing marks a finished vCPU waiting for its run-ahead pool to
-	// commit: the root cascade removes it from the schedule atomically at
-	// the commit slot, reproducing the serial engine's departure point (a
-	// finisher's last charge commits at the root and the removal follows
-	// before any later-slot vCPU runs). Guarded by e.mu.
-	departing bool
-
-	// lazy accumulates deferred charges (AdvanceLazy); owned by the
-	// driving goroutine, folded into now under e.mu at the next engine
-	// operation.
+	// lazy accumulates deferred charges (AdvanceLazy), folded into now at
+	// the next gating operation.
 	lazy int64
 
-	// soloActive is the engine's published grant of the solo fast path to
-	// this vCPU (set under e.mu, cleared by exitSoloLocked). soloBusy is
-	// the driving goroutine's in-flight marker: a fast operation sets it,
-	// re-checks soloActive, and clears it when the operation completes.
-	// Together they form the revocation handshake — exitSoloLocked clears
-	// soloActive and then spins until soloBusy is clear, so by the time a
-	// revoker (NewCPU admitting a second vCPU, abort) proceeds, no fast
-	// operation is in flight and every later operation takes the gated
-	// path. Sequentially consistent atomics order the fast path's plain
-	// writes (now, lazy, lock fields) before the revoker's reads.
-	soloActive atomic.Bool
-	soloBusy   atomic.Bool
+	// resume and stop drive the vCPU's coroutine from the scheduler; yield
+	// hands control back to it from inside the workload.
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
 
 	// Advanced accumulates total virtual time charged to this CPU.
 	Advanced int64
-}
-
-// soloFast attempts to enter a solo fast-path operation. On true the caller
-// owns the engine (no other runnable vCPU exists, none can be admitted until
-// the handshake completes) and must call soloEnd when the operation's plain
-// writes are done. On false the caller must take the gated slow path.
-func (c *CPU) soloFast() bool {
-	// Cheap pre-check: a non-solo vCPU pays one relaxed-cost load per
-	// operation. Only a standing grant pays for the full handshake.
-	if !c.soloActive.Load() {
-		return false
-	}
-	c.soloBusy.Store(true)
-	if c.soloActive.Load() {
-		return true
-	}
-	c.soloBusy.Store(false)
-	return false
-}
-
-// soloEnd completes a solo fast-path operation begun by soloFast.
-func (c *CPU) soloEnd() { c.soloBusy.Store(false) }
-
-// maybeEnterSoloLocked grants the solo fast path to the sole runnable vCPU
-// when the engine state allows it. Caller holds e.mu.
-func (e *Engine) maybeEnterSoloLocked() {
-	if e.soloOff || e.aborted || len(e.heap) != 1 || e.lockWaiters != 0 {
-		return
-	}
-	c := e.heap[0]
-	// A vCPU with an uncommitted run-ahead pool (or one departing through
-	// the root cascade) is not eligible: solo fast-path operations never
-	// reach the engine, so the pool would not commit. The pool drains at
-	// the vCPU's next gated operation, which re-checks eligibility.
-	if c.pendingLock != nil || c.ahead > 0 || c.departing || e.solo == c {
-		return
-	}
-	if e.solo != nil {
-		e.exitSoloLocked()
-	}
-	e.solo = c
-	e.soloGrants++
-	c.soloActive.Store(true)
-}
-
-// exitSoloLocked revokes the solo grant and waits for any in-flight fast
-// operation to finish (see the soloActive/soloBusy handshake). Caller holds
-// e.mu. Revoking from the solo vCPU's own goroutine never spins: soloBusy is
-// only set during a fast operation, and a vCPU cannot be inside one while
-// calling into the engine.
-func (e *Engine) exitSoloLocked() {
-	c := e.solo
-	if c == nil {
-		return
-	}
-	e.solo = nil
-	c.soloActive.Store(false)
-	for c.soloBusy.Load() {
-		runtime.Gosched()
-	}
 }
 
 // cpuLess orders vCPUs by (clock, id) — the engine's scheduling priority.
@@ -444,15 +210,17 @@ func cpuLess(a, b *CPU) bool {
 	return a.now < b.now || (a.now == b.now && a.id < b.id)
 }
 
-// heapPush admits c to the runnable index. Caller holds e.mu.
+// heapPush admits c to the runnable index.
 func (e *Engine) heapPush(c *CPU) {
+	e.solo = nil
 	c.hi = len(e.heap)
 	e.heap = append(e.heap, c)
 	e.siftUp(c.hi)
 }
 
-// heapRemove evicts c from the runnable index. Caller holds e.mu.
+// heapRemove evicts c from the runnable index.
 func (e *Engine) heapRemove(c *CPU) {
+	e.solo = nil
 	i := c.hi
 	last := len(e.heap) - 1
 	if i != last {
@@ -504,41 +272,32 @@ func (e *Engine) siftDown(i int) {
 	}
 }
 
-// NewCPU registers a new vCPU starting at virtual time start.
-//
-// When called from a running vCPU's goroutine (e.g. to model fork), pass the
-// parent's current time; the engine guarantees the parent holds the global
-// minimum clock at that moment, so the child joins consistently.
-func (e *Engine) NewCPU(start int64) *CPU {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	// Revoke any solo grant before the new vCPU becomes visible: the
-	// handshake guarantees no fast-path operation is in flight by the time
-	// the heap grows, so the previously-solo vCPU's next operation gates
-	// against the newcomer.
-	e.exitSoloLocked()
-	c := &CPU{id: len(e.cpus), e: e, now: start, st: running, hi: -1, wake: make(chan struct{}, 1)}
-	e.cpus = append(e.cpus, c)
-	e.heapPush(c)
-	e.processRootLocked()
-	e.maybeEnterSoloLocked()
-	return c
+// noteSolo records a solo grant when the runnable set has narrowed to one
+// vCPU with no lock waiters since the last heap membership change.
+func (e *Engine) noteSolo() {
+	if e.solo == nil && len(e.heap) == 1 && e.lockWaiters == 0 && !e.aborted {
+		e.solo = e.heap[0]
+		e.soloGrants++
+	}
 }
 
-// Go launches fn on its own goroutine driving a fresh vCPU that starts at
-// virtual time start. The vCPU is marked done when fn returns.
+// Go registers a fresh vCPU that starts at virtual time start and will run
+// fn as a coroutine once the scheduler reaches it; the vCPU is marked done
+// when fn returns. Called before Wait, it admits the vCPU to the next run;
+// called from a running vCPU (e.g. to model fork), pass the parent's current
+// time, which is the global minimum after the parent's last gate, so the
+// child joins consistently.
 //
 // A panic in fn does not crash the process: the engine records the panic as
 // an error (see Err), aborts the run, and unwinds every other vCPU so Wait
-// still returns instead of deadlocking on the min-clock gate.
+// still returns.
 func (e *Engine) Go(start int64, fn func(c *CPU)) *CPU {
-	c := e.NewCPU(start)
-	e.mu.Lock()
-	hold := e.hold
-	e.mu.Unlock()
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
+	c := &CPU{id: len(e.cpus), e: e, now: start, st: running, hi: -1}
+	e.cpus = append(e.cpus, c)
+	e.heapPush(c)
+	e.noteSolo()
+	c.resume, c.stop = coroutine(func(yield func(struct{}) bool) {
+		c.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				if _, drain := r.(engineAbort); !drain {
@@ -547,80 +306,61 @@ func (e *Engine) Go(start int64, fn func(c *CPU)) *CPU {
 			}
 			c.Done()
 		}()
-		if hold != nil {
-			<-hold
-		}
 		fn(c)
-	}()
+	})
 	return c
 }
 
-// Hold arms a starting barrier: vCPU goroutines launched by Go are admitted
-// to the runnable heap immediately (so the min-clock gate orders everyone
-// against them) but do not begin executing until the returned release
-// function is called. Launching a batch of workers under Hold makes the
-// schedule independent of how far an early worker's goroutine happens to get
-// in real time before a later worker is registered.
-func (e *Engine) Hold() (release func()) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.hold == nil {
-		e.hold = make(chan struct{})
+// Wait runs the scheduler: it resumes the minimum-(clock, id) vCPU until no
+// vCPU is runnable. If vCPUs are still queued on locks at that point, the
+// run has deadlocked and Err names it. After an abort, every unfinished vCPU
+// is unwound. Check Err afterwards. Wait may be called again after
+// registering more vCPUs.
+func (e *Engine) Wait() {
+	for len(e.heap) > 0 && !e.aborted {
+		e.heap[0].resume()
 	}
-	ch := e.hold
-	return func() {
-		e.mu.Lock()
-		if e.hold == ch {
-			e.hold = nil
+	if !e.aborted && e.lockWaiters > 0 {
+		e.abort(e.deadlock())
+	}
+	if e.aborted {
+		for i := 0; i < len(e.cpus); i++ { // unwinding may register more
+			e.cpus[i].stop()
+			e.cpus[i].Done()
 		}
-		e.mu.Unlock()
-		close(ch)
 	}
 }
 
-// Wait blocks until every vCPU launched with Go has finished (normally or by
-// unwinding after an abort). Check Err afterwards for a workload panic.
-func (e *Engine) Wait() { e.wg.Wait() }
-
-// Err returns the error recorded for the first workload panic that aborted
-// the run, or nil for a clean run.
-func (e *Engine) Err() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.err
+// deadlock names a lock waiter of a run whose runnable set emptied. A lock
+// with waiters always has a holder: Release hands it straight over.
+func (e *Engine) deadlock() error {
+	c := e.cpus[slices.IndexFunc(e.cpus, func(c *CPU) bool { return c.st == lockWait })]
+	return fmt.Errorf("vclock: deadlock: no runnable vCPU and %d waiting on locks (vCPU %d waits on %q held by vCPU %d)",
+		e.lockWaiters, c.id, c.waitOn.name, c.waitOn.holder.id)
 }
 
-// engineAbort is the panic value used to unwind vCPU goroutines after a
-// workload panic aborted the run.
+// Err returns the error that aborted the run — the first workload panic or
+// a deadlock — or nil for a clean run.
+func (e *Engine) Err() error { return e.err }
+
+// engineAbort is the panic value used to unwind vCPUs after the run was
+// aborted.
 type engineAbort struct{ err error }
 
-// abort records the first failure, then wakes every parked vCPU so each
-// unwinds via engineAbort at its next scheduling point.
+// abort records the first failure; Wait unwinds the remaining vCPUs.
 func (e *Engine) abort(err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	// Only a running vCPU can panic, so if a solo grant exists the caller
-	// is the solo vCPU itself and the revocation never spins.
-	e.exitSoloLocked()
 	if !e.aborted {
 		e.aborted = true
 		e.err = err
 	}
-	for _, c := range e.cpus {
-		if c.waiting {
-			select {
-			case c.wake <- struct{}{}:
-			default:
-			}
-		}
-	}
+	e.solo = nil
 }
 
-// checkAbortLocked unwinds the calling vCPU when the run has been aborted.
-// Caller holds e.mu and must release it via defer (the panic propagates).
-func (e *Engine) checkAbortLocked() {
-	if e.aborted {
-		panic(engineAbort{e.err})
+// pause yields c's coroutine to the scheduler, unwinding c when the run has
+// been aborted.
+func (c *CPU) pause() {
+	if !c.yield(struct{}{}) {
+		panic(engineAbort{c.e.err})
 	}
 }
 
@@ -628,255 +368,55 @@ func (e *Engine) checkAbortLocked() {
 // of the whole run). Call it after Wait; a vCPU's pending lazy charges are
 // folded in.
 func (e *Engine) Makespan() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	var m int64
 	for _, c := range e.cpus {
-		t := c.now + c.ahead + c.lazy
-		if t > m {
+		if t := c.now + c.lazy; t > m {
 			m = t
 		}
 	}
 	return m
 }
 
-// wakeLocked delivers a (buffered, lossy) wakeup token to c. Caller holds
-// e.mu.
-func (e *Engine) wakeLocked(c *CPU) {
-	if c.waiting {
-		select {
-		case c.wake <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// applyChargeLocked commits a pure clock charge at c's current virtual
-// slot, dilating Compute charges by the runnable/core ratio. Caller holds
-// e.mu.
-func (e *Engine) applyChargeLocked(c *CPU, d int64, compute bool) {
-	if compute && e.cores > 0 {
-		if r := len(e.heap); r > e.cores {
-			d = d * int64(r) / int64(e.cores)
-		}
-	}
-	c.now += d
-	c.Advanced += d
-	e.siftDown(c.hi)
-}
-
-// foldLocked folds pending lazy time into the run-ahead pool when one is
-// outstanding — the lazy stretch precedes any new engine-ordered action, so
-// it must commit with (and not before) the pooled charges — or directly
-// into the clock otherwise, exactly as the serial engine does. Caller holds
-// e.mu.
-func (c *CPU) foldLocked() {
-	if c.ahead > 0 {
-		c.ahead += c.lazy
-		c.lazy = 0
-		return
-	}
-	c.flushLazyLocked()
-}
-
-// runAheadLocked runs one latency charge through the horizon-parallel
-// executor; it returns true when the charge has been pooled (the caller
-// returns without parking) and false when the caller must take the serial
-// gated path.
-//
-// Pooling is serial-equivalent because a latency charge is exact and
-// order-insensitive: it reads no schedule state (unlike Compute, whose
-// dilation reads the runnable count), moves only its own vCPU's clock, and
-// its effects on every other vCPU are fully summarized by the clock's
-// eventual value. The pool commits as one sum when the root cascade
-// reaches this vCPU's committed floor (processRootLocked) — the same
-// virtual slot at which the serial engine would have committed the first
-// pooled charge — and the vCPU's heap key never moves before that instant,
-// so every gated operation of every other vCPU still waits on exactly the
-// serial schedule's ordering. The segment the vCPU keeps driving touches
-// only per-vCPU state by the gate-first rule: any shared-state touch gates
-// (Sync/Acquire) and therefore drains the pool first.
-//
-// Caller holds e.mu.
-func (e *Engine) runAheadLocked(c *CPU, d int64) bool {
-	if c.ahead > 0 && e.par > 0 {
-		// Already running ahead: extend the pool. When we are the root the
-		// cascade can make no progress until the pool commits, so drain it
-		// inline rather than waiting for another vCPU's operation.
-		c.ahead += c.lazy + d
-		c.lazy = 0
-		e.parGrants++
-		if e.heap[0] == c {
-			e.processRootLocked()
-		}
-		return true
-	}
-	if e.par == 0 || c.ahead > 0 || e.grantsOut >= e.par {
-		// Executor off (any outstanding pool drains through the serial
-		// path's gate) or the worker budget is exhausted.
-		return false
-	}
-	// The serial engine folds pending lazy time into the clock before
-	// gating, so the vCPU's slot for this charge — the committed floor the
-	// pool waits at, and the (clock, id) key every other vCPU orders
-	// against — must include it. Flush first, then decide rootness.
-	c.flushLazyLocked()
-	if e.heap[0] == c {
-		// Park-free root: the serial path commits immediately anyway.
-		return false
-	}
-	c.ahead = d
-	e.grantsOut++
-	e.parGrants++
-	return true
-}
-
-// processRootLocked drives the schedule forward after any change to the
-// runnable heap. It examines the vCPU at the heap root: a parked root that
-// declared a lock intent or a pure clock charge is serviced inline — the
-// lock is granted, the vCPU moves to the waiter queue, or the charge is
-// applied, all at exactly the virtual instant the vCPU would have acted
-// itself — which may promote a new root, so the loop cascades. A root
-// without an intent is woken if parked. Servicing intents inline saves a
-// park/wake round trip per contended acquisition: the acquirer parks once
-// and wakes only when it actually owns the lock. Caller holds e.mu.
-func (e *Engine) processRootLocked() {
+// gate folds c's pending lazy charges into its clock — the deferred work
+// happened strictly before any interaction with shared state, so applying
+// it first preserves causal order — and returns once c is the heap root.
+func (c *CPU) gate() {
+	e := c.e
 	if e.aborted {
-		return
+		panic(engineAbort{e.err})
 	}
-	for len(e.heap) > 0 {
-		r := e.heap[0]
-		if r.ahead > 0 {
-			// Commit r's run-ahead pool at exactly its slot and keep
-			// cascading. A departing r (its goroutine finished while the
-			// pool was pending) leaves the schedule atomically at the
-			// commit: the serial engine removes a finisher immediately
-			// after its last charge commits at the root, before any
-			// later-slot vCPU is rescheduled, and this reproduces that
-			// departure point by construction.
-			d := r.ahead
-			r.ahead = 0
-			e.grantsOut--
-			r.now += d
-			r.Advanced += d
-			if r.departing {
-				r.flushLazyLocked()
-				e.heapRemove(r)
-				r.st = done
-				e.wakeLocked(r)
-				continue
-			}
-			e.siftDown(r.hi)
-			// r may be parked in a gate behind its own pool; it is the
-			// root's wake either way if still minimal, but the commit may
-			// also have demoted it, so signal it directly.
-			e.wakeLocked(r)
-			continue
-		}
-		l := r.pendingLock
-		if l == nil {
-			e.wakeLocked(r)
-			return
-		}
-		if l.held {
-			// Join the waiter queue at the vCPU's virtual slot. No wakeup:
-			// Release delivers one at handoff.
-			r.pendingLock = nil
-			r.st = lockWait
-			e.heapRemove(r)
-			l.waiters = append(l.waiters, r)
-			e.lockWaiters++
-			continue
-		}
-		// Grant the free lock at the vCPU's virtual slot.
-		r.pendingLock = nil
-		if l.freeAt > r.now {
-			l.contended++
-			l.waitTime += l.freeAt - r.now
-			r.now = l.freeAt
-			e.siftDown(r.hi)
-		}
-		l.held = true
-		l.holder = r
-		l.lastAcquire = r.now
-		l.acquisitions++
-		e.wakeLocked(r)
-		// The boost may have demoted r; keep cascading for the new root.
+	if c.hi < 0 {
+		panic(fmt.Sprintf("vclock: vCPU %d operated on while not runnable", c.id))
 	}
-}
-
-// sleepLocked parks the calling vCPU until signalled. Caller holds e.mu;
-// the lock is held again on return. Unwinds (with e.mu held, released by the
-// caller's deferred unlock) when the run has been aborted.
-func (e *Engine) sleepLocked(c *CPU) {
-	c.waiting = true
-	e.mu.Unlock()
-	<-c.wake
-	e.mu.Lock()
-	c.waiting = false
-	e.checkAbortLocked()
-}
-
-// gateLocked blocks until c holds the global minimum clock with no
-// uncommitted run-ahead pool (the pool commits through the cascade at c's
-// floor slot before the gate can be satisfied, so the caller's operation
-// lands strictly after every pooled charge). Caller holds e.mu; the lock is
-// held on return.
-//
-// Before parking, the current minimum is signalled: the caller may have just
-// changed the ordering (e.g. by folding lazy charges into its clock) without
-// any other notification reaching the vCPU that now holds the minimum.
-func (e *Engine) gateLocked(c *CPU) {
-	for e.heap[0] != c || c.ahead > 0 {
-		e.processRootLocked()
-		if e.heap[0] == c && c.ahead == 0 {
-			// Servicing parked intents promoted us to the root; do not
-			// park — nobody is left to wake us.
-			return
-		}
-		e.sleepLocked(c)
-	}
-}
-
-// flushLazyLocked folds deferred charges into the clock, repositioning the
-// vCPU in the runnable heap. The deferred work happened strictly before any
-// interaction with shared state, so applying it before gating preserves
-// causal order. Caller holds e.mu.
-func (c *CPU) flushLazyLocked() {
 	if c.lazy != 0 {
 		c.now += c.lazy
 		c.Advanced += c.lazy
 		c.lazy = 0
-		if c.hi >= 0 {
-			c.e.siftDown(c.hi)
-		}
+		e.siftDown(c.hi)
 	}
+	for e.heap[0] != c {
+		c.pause()
+	}
+}
+
+// charge commits d at c's slot (c is the heap root).
+func (c *CPU) charge(d int64) {
+	c.now += d
+	c.Advanced += d
+	c.e.siftDown(c.hi)
+	c.e.noteSolo()
 }
 
 // ID returns the vCPU's stable identifier.
 func (c *CPU) ID() int { return c.id }
 
-// Now returns the vCPU's current virtual time including pending lazy charges
-// and any uncommitted run-ahead pool — the vCPU's own observations (trace
-// timestamps in particular) must be exact regardless of how its charges are
-// batched for commit.
-func (c *CPU) Now() int64 {
-	if c.soloFast() {
-		// Solo implies no pooled run-ahead (the grant guard requires an
-		// empty pool and the solo path never creates one).
-		t := c.now + c.lazy
-		c.soloEnd()
-		return t
-	}
-	c.e.mu.Lock()
-	defer c.e.mu.Unlock()
-	return c.now + c.ahead + c.lazy
-}
+// Now returns the vCPU's current virtual time including pending lazy
+// charges.
+func (c *CPU) Now() int64 { return c.now + c.lazy }
 
 // AdvanceLazy charges d nanoseconds without synchronizing with the engine.
 // Use it for private work (TLB hits, guest-internal costs) between shared
-// operations; the charge is folded in at the next engine operation. Cheap:
-// no locking, no scheduling.
+// operations; the charge is folded in at the next gating operation.
 func (c *CPU) AdvanceLazy(d int64) {
 	if d < 0 {
 		panic(fmt.Sprintf("vclock: negative lazy advance %d", d))
@@ -891,73 +431,31 @@ func (c *CPU) AdvanceLazy(d int64) {
 
 // Advance charges d nanoseconds of virtual latency (hardware transition,
 // device service time, …). Latency advances are never dilated by core
-// oversubscription.
-//
-// Advance gates on the min-clock before committing the charge: workload code
-// between engine operations therefore runs only in its vCPU's virtual-time
-// slot. Under the horizon-parallel executor (SetParallel) the charge may
-// instead be pooled — the vCPU keeps running while its clock stays at the
-// committed floor until the root cascade reaches its slot — which is
-// serial-equivalent because latency charges are exact and order-insensitive
-// and every shared-state touch gates first (Sync/Acquire), draining the
-// pool; see runAheadLocked.
+// oversubscription. Advance gates on the min-clock before committing the
+// charge, so workload code between engine operations runs only after its
+// vCPU's virtual-time slot was reached.
 func (c *CPU) Advance(d int64) {
 	if d < 0 {
 		panic(fmt.Sprintf("vclock: negative advance %d", d))
 	}
-	if c.soloFast() {
-		// Sole runnable vCPU: the gate is trivially satisfied and the
-		// one-element heap needs no maintenance.
-		c.now += c.lazy + d
-		c.Advanced += c.lazy + d
-		c.lazy = 0
-		c.soloEnd()
-		return
-	}
-	e := c.e
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.checkAbortLocked()
-	if e.runAheadLocked(c, d) {
-		return
-	}
-	c.foldLocked()
-	e.gateLocked(c)
-	e.applyChargeLocked(c, d, false)
-	e.processRootLocked()
-	e.maybeEnterSoloLocked()
+	c.gate()
+	c.charge(d)
 }
 
 // Compute charges d nanoseconds of CPU-bound work. When more vCPUs are
 // runnable than the engine's simulated core count, the charge is dilated
 // proportionally, modeling timeslicing on an oversubscribed machine.
-//
-// Compute always takes the gated path, even under the horizon-parallel
-// executor: the dilation reads the runnable count, so the charge must
-// commit at exactly its virtual slot — and its amount must be known
-// immediately, because the vCPU's subsequent trace timestamps include it.
 func (c *CPU) Compute(d int64) {
 	if d < 0 {
 		panic(fmt.Sprintf("vclock: negative compute %d", d))
 	}
-	if c.soloFast() {
-		// One runnable vCPU never exceeds the core budget (cores == 0
-		// means unlimited), so the dilated and undilated charges agree.
-		c.now += c.lazy + d
-		c.Advanced += c.lazy + d
-		c.lazy = 0
-		c.soloEnd()
-		return
+	c.gate()
+	if e := c.e; e.cores > 0 {
+		if r := len(e.heap); r > e.cores {
+			d = d * int64(r) / int64(e.cores)
+		}
 	}
-	e := c.e
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.checkAbortLocked()
-	c.foldLocked()
-	e.gateLocked(c)
-	e.applyChargeLocked(c, d, true)
-	e.processRootLocked()
-	e.maybeEnterSoloLocked()
+	c.charge(d)
 }
 
 // Sync blocks until the vCPU holds the minimum clock without advancing it.
@@ -965,89 +463,43 @@ func (c *CPU) Compute(d int64) {
 // state) into the deterministic schedule. The mutation must complete before
 // the vCPU's next engine operation.
 func (c *CPU) Sync() {
-	if c.soloFast() {
-		if c.lazy != 0 {
-			c.now += c.lazy
-			c.Advanced += c.lazy
-			c.lazy = 0
-		}
-		c.soloEnd()
+	c.gate()
+	c.e.noteSolo()
+}
+
+// Done removes the vCPU from scheduling, folding its pending lazy charges
+// into its clock. Idempotent; the engine calls it when the vCPU's function
+// returns or is unwound.
+func (c *CPU) Done() {
+	if c.st == done {
 		return
 	}
 	e := c.e
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.checkAbortLocked()
-	c.foldLocked()
-	e.gateLocked(c)
-	e.processRootLocked()
-	e.maybeEnterSoloLocked()
-}
-
-// Done removes the vCPU from scheduling. Idempotent. Safe to call while the
-// engine is draining an aborted run.
-func (c *CPU) Done() {
-	e := c.e
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.solo == c {
-		e.exitSoloLocked()
-	}
-	if c.ahead > 0 && c.hi >= 0 && !e.aborted {
-		// An uncommitted run-ahead pool is pending: departures change the
-		// runnable count other vCPUs read (Compute dilation), so the vCPU
-		// may leave only at the pool's commit slot. Mark it departing and
-		// let the root cascade commit the pool and remove it atomically
-		// (processRootLocked), exactly where the serial engine removes a
-		// finisher — its last charge commits at the root and the removal
-		// follows before any later-slot vCPU runs. Park until then; this
-		// wait loop must not panic (Done also drains aborted runs), so it
-		// re-checks aborted instead of using sleepLocked.
-		c.departing = true
-		e.processRootLocked()
-		for c.hi >= 0 && !e.aborted {
-			c.waiting = true
-			e.mu.Unlock()
-			<-c.wake
-			e.mu.Lock()
-			c.waiting = false
-		}
-		c.departing = false
-		if c.hi < 0 {
-			// The cascade completed our departure; the population may
-			// have dropped to one in the process.
-			e.maybeEnterSoloLocked()
-			return
-		}
-		// Aborted while parked: fall through and drain.
-	}
-	if c.ahead > 0 {
-		// Aborted (ordering is void) — commit the pool for accounting and
-		// return the worker-budget slot so the audit invariants hold.
-		c.now += c.ahead
-		c.Advanced += c.ahead
-		c.ahead = 0
-		e.grantsOut--
-	}
-	c.flushLazyLocked()
-	if c.hi >= 0 {
+	c.now += c.lazy
+	c.Advanced += c.lazy
+	c.lazy = 0
+	switch c.st {
+	case running:
 		e.heapRemove(c)
+	case lockWait:
+		l := c.waitOn
+		i := slices.Index(l.waiters, c)
+		l.waiters = slices.Delete(l.waiters, i, i+1)
+		c.waitOn = nil
+		e.lockWaiters--
 	}
 	c.st = done
-	e.processRootLocked()
-	e.maybeEnterSoloLocked()
+	e.noteSolo()
 }
 
 // Lock is a virtual mutex. Contention is charged in virtual time: a vCPU
 // acquiring a lock held until time t resumes at t. All acquisitions and
 // handoffs are deterministic (waiters are granted in (clock, id) order).
 // While a vCPU holds a virtual lock, no other vCPU contending for it can run
-// its critical section, so lock-protected shared structures need no separate
-// Go-level synchronization.
+// its critical section.
 //
 // The zero value is unusable; create locks with Engine.NewLock.
 type Lock struct {
-	e    *Engine
 	name string
 
 	held    bool
@@ -1066,7 +518,7 @@ type Lock struct {
 
 // NewLock creates a named virtual lock managed by this engine.
 func (e *Engine) NewLock(name string) *Lock {
-	return &Lock{e: e, name: name}
+	return &Lock{name: name}
 }
 
 // Name returns the lock's diagnostic name.
@@ -1083,8 +535,6 @@ type LockStats struct {
 
 // Stats returns a snapshot of the lock's counters.
 func (l *Lock) Stats() LockStats {
-	l.e.mu.Lock()
-	defer l.e.mu.Unlock()
 	return LockStats{
 		Name:         l.name,
 		Acquisitions: l.acquisitions,
@@ -1094,105 +544,43 @@ func (l *Lock) Stats() LockStats {
 	}
 }
 
-// Acquire takes the lock on behalf of c, advancing c's clock past any
-// contention. Recursive acquisition panics.
-//
-// When c does not yet hold the minimum clock, Acquire does not park at the
-// min-clock gate and then park a second time on the waiter queue: it records
-// the intent on the vCPU and parks once. The vCPU that advances the clock
-// past c's slot applies the intent inline (see processRootLocked) at exactly
-// the virtual instant c would have acted, and c wakes only when it owns the
-// lock.
+// Acquire takes the lock on behalf of c at c's virtual slot. A held lock
+// parks c on the waiter queue, out of the runnable heap, until a Release
+// hands the lock over and advances c's clock past the contention.
+// Recursive acquisition panics.
 func (l *Lock) Acquire(c *CPU) {
-	if c.soloFast() {
-		// Sole runnable vCPU with no lock waiters: any held lock is held
-		// either by c itself (recursion error) or by a vCPU that already
-		// left the schedule — both are decided without the engine.
-		if l.held {
-			c.soloEnd()
-			if l.holder == c {
-				panic("vclock: recursive acquisition of " + l.name)
-			}
-			// Held by a no-longer-runnable vCPU: fall through to the
-			// gated path, which parks exactly as the reference engine
-			// would.
-		} else {
-			if c.lazy != 0 {
-				c.now += c.lazy
-				c.Advanced += c.lazy
-				c.lazy = 0
-			}
-			if l.freeAt > c.now {
-				l.contended++
-				l.waitTime += l.freeAt - c.now
-				c.now = l.freeAt
-			}
-			l.held = true
-			l.holder = c
-			l.lastAcquire = c.now
-			l.acquisitions++
-			c.soloEnd()
-			return
-		}
-	}
-	e := l.e
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.checkAbortLocked()
 	if l.held && l.holder == c {
 		panic("vclock: recursive acquisition of " + l.name)
 	}
-	if e.solo == c {
-		// Solo fast path fell back (lock held by a finished vCPU): the
-		// grant is useless while we park as a waiter.
-		e.exitSoloLocked()
-	}
-	c.foldLocked()
-	if e.heap[0] == c && c.ahead == 0 {
-		// Already at our virtual slot with no pooled run-ahead: decide
-		// inline. (With a pool pending our committed slot is earlier than
-		// our real position; fall through to the intent path and let the
-		// root cascade commit the pool and then service the intent, both
-		// at the exact serial instants.)
-		if l.held {
-			// Park until a release hands the lock to us.
-			c.st = lockWait
-			e.heapRemove(c)
-			l.waiters = append(l.waiters, c)
-			e.lockWaiters++
-			e.processRootLocked()
-			for l.holder != c {
-				e.sleepLocked(c)
-			}
-			// Handoff complete: Release already updated our clock and the
-			// lock bookkeeping.
-			e.maybeEnterSoloLocked()
-			return
+	c.gate()
+	e := c.e
+	if l.held {
+		c.st = lockWait
+		e.heapRemove(c)
+		c.waitOn = l
+		l.waiters = append(l.waiters, c)
+		e.lockWaiters++
+		for l.holder != c {
+			c.pause()
 		}
-		if l.freeAt > c.now {
-			// Cannot happen under conservative ordering (the releaser held
-			// the minimum clock), but stay safe.
-			l.contended++
-			l.waitTime += l.freeAt - c.now
-			c.now = l.freeAt
-			e.siftDown(c.hi)
-		}
-		l.held = true
-		l.holder = c
-		l.lastAcquire = c.now
-		l.acquisitions++
-		e.processRootLocked()
-		e.maybeEnterSoloLocked()
+		// Handoff complete: Release already updated our clock and the lock
+		// bookkeeping, and the scheduler resumed us at our slot.
+		e.noteSolo()
 		return
 	}
-	// Not at our slot yet: declare the intent and park until the handoff
-	// (or inline grant) makes us the holder.
-	c.pendingLock = l
-	e.processRootLocked()
-	for l.holder != c {
-		e.sleepLocked(c)
+	if l.freeAt > c.now {
+		// Cannot happen under conservative ordering (the releaser held the
+		// minimum clock), but stay safe.
+		l.contended++
+		l.waitTime += l.freeAt - c.now
+		c.now = l.freeAt
+		e.siftDown(c.hi)
 	}
-	e.maybeEnterSoloLocked()
+	l.held = true
+	l.holder = c
+	l.lastAcquire = c.now
+	l.acquisitions++
+	e.noteSolo()
 }
 
 // Release drops the lock, recording held time, and deterministically hands it
@@ -1204,40 +592,17 @@ func (l *Lock) Acquire(c *CPU) {
 // time the handoff is decided, so the queue contents — and therefore the
 // handoff order — are a pure function of virtual time.
 func (l *Lock) Release(c *CPU) {
-	if c.soloFast() {
-		if !l.held || l.holder != c {
-			c.soloEnd()
-			panic("vclock: release of " + l.name + " by non-holder")
-		}
-		// No waiter can exist (solo mode requires an empty engine-wide
-		// waiter count, and no other vCPU ran since it was granted).
-		if c.lazy != 0 {
-			c.now += c.lazy
-			c.Advanced += c.lazy
-			c.lazy = 0
-		}
-		l.heldTime += c.now - l.lastAcquire
-		l.freeAt = c.now
-		l.held = false
-		l.holder = nil
-		c.soloEnd()
-		return
-	}
-	e := l.e
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if !l.held || l.holder != c {
 		panic("vclock: release of " + l.name + " by non-holder")
 	}
-	c.foldLocked()
-	e.gateLocked(c)
+	c.gate()
+	e := c.e
 	l.heldTime += c.now - l.lastAcquire
 	l.freeAt = c.now
 	if len(l.waiters) == 0 {
 		l.held = false
 		l.holder = nil
-		e.processRootLocked()
-		e.maybeEnterSoloLocked()
+		e.noteSolo()
 		return
 	}
 	// Deterministic handoff: smallest (now, id) waiter wins.
@@ -1248,7 +613,7 @@ func (l *Lock) Release(c *CPU) {
 		}
 	}
 	w := l.waiters[best]
-	l.waiters = append(l.waiters[:best], l.waiters[best+1:]...)
+	l.waiters = slices.Delete(l.waiters, best, best+1)
 	e.lockWaiters--
 	l.contended++
 	if w.now < l.freeAt {
@@ -1259,18 +624,8 @@ func (l *Lock) Release(c *CPU) {
 	l.lastAcquire = w.now
 	l.acquisitions++
 	w.st = running
+	w.waitOn = nil
 	e.heapPush(w)
-	// Wake the recipient directly; it may not be the global minimum yet,
-	// but it must observe the handoff and re-park in gateLocked order on
-	// its next operation. It is safe for it to run: its critical section
-	// is ordered by the lock itself.
-	if w.waiting {
-		select {
-		case w.wake <- struct{}{}:
-		default:
-		}
-	}
-	e.processRootLocked()
 }
 
 // With runs fn while holding the lock, charging hold nanoseconds of work

@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -18,6 +19,26 @@ func TestAdvanceAccumulates(t *testing.T) {
 	}
 	if c.Advanced != 15 {
 		t.Fatalf("Advanced = %d, want 15", c.Advanced)
+	}
+}
+
+// TestNothingRunsBeforeWait: Go only registers a vCPU; its function starts
+// at Wait, after every vCPU registered before it is in the heap.
+func TestNothingRunsBeforeWait(t *testing.T) {
+	e := NewEngine()
+	var order []int
+	for i := 0; i < 3; i++ {
+		e.Go(int64(2-i), func(c *CPU) {
+			order = append(order, c.ID())
+			c.Advance(1)
+		})
+	}
+	if len(order) != 0 {
+		t.Fatalf("vCPUs %v ran before Wait", order)
+	}
+	e.Wait()
+	if want := []int{2, 1, 0}; !slices.Equal(order, want) {
+		t.Fatalf("start order = %v, want %v (by start clock)", order, want)
 	}
 }
 

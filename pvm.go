@@ -19,8 +19,12 @@
 //	    base := p.Mmap(256)
 //	    p.TouchRange(base, 256, true) // full PVM-on-EPT fault path
 //	})
-//	sys.Engine().Wait()
+//	sys.Engine().Wait() // every registered vCPU starts here
 //	fmt.Println(sys.Counters().Snapshot())
+//
+// Run only registers the process's vCPU. Nothing executes until Wait, which
+// runs every registered vCPU to completion in virtual-time order, so a
+// fleet started with a plain loop gets the same schedule on any host.
 //
 // To regenerate a paper table or figure:
 //
