@@ -26,27 +26,25 @@ check:
 	$(GO) test -race -short ./internal/vclock/... ./internal/experiments/... ./internal/check/...
 	$(GO) test -race -count=3 -run 'UnderLoad' ./internal/vclock/ ./internal/backend/
 
-# fuzz sweeps the full metamorphic corpus (10 variants per seed, including
-# the lifecycle and ranged VMA-mutation fast lanes disabled, and dirty-page
-# logging armed) plus the backend differential grids without the race
-# detector's slowdown.
+# fuzz sweeps the full metamorphic corpus (8 variants per seed, including
+# dirty-page logging armed) plus the backend differential and golden-digest
+# grids without the race detector's slowdown.
 fuzz:
-	$(GO) test -count=1 -run 'TestMetamorphicCorpus|TestLifecycleFastLaneDifferential|TestDirtyLogVariantDifferential' ./internal/check/
+	$(GO) test -count=1 -run 'TestMetamorphicCorpus|TestDirtyLogVariantDifferential' ./internal/check/
 	$(GO) test -count=1 -run 'TestRangedAccessEquivalence|TestForkTeardownEquivalence|TestDirtyLog|TestVMAMutation' ./internal/backend/
 
-# bench regenerates BENCH_pr14.json: the TouchRange, ColdFault,
-# ProcessLifecycle, VMAMutation, MultiVCPUContention, and DirtyScan grids
-# plus the PreCopy experiment benchmark across all five MMU backends, and
-# the serial default-grid wall clock (compared against BENCH_pr9.json's
-# baseline).
+# bench regenerates BENCH_pr15.json: the TouchRange, ColdFault,
+# MultiVCPUContention, and DirtyScan grids plus the PreCopy experiment
+# benchmark across all five MMU backends, and the serial default-grid wall
+# clock (compared against BENCH_pr14.json's baseline).
 bench:
-	$(GO) run ./cmd/benchreport -out BENCH_pr14.json
+	$(GO) run ./cmd/benchreport -out BENCH_pr15.json
 
 # bench-diff compares the two most recent bench artifacts cell by cell and
 # fails on regressions beyond the default threshold; it refuses to compare
 # artifacts measured at different benchtimes or host parallelism.
 bench-diff:
-	$(GO) run ./cmd/benchreport -diff BENCH_pr9.json BENCH_pr14.json
+	$(GO) run ./cmd/benchreport -diff BENCH_pr14.json BENCH_pr15.json
 
 # microbench runs the low-level hot-path benchmarks of the simulator core.
 microbench:

@@ -1,8 +1,8 @@
 // Command benchreport produces the PR's before/after performance artifact
-// (BENCH_pr14.json by default): it runs the TouchRange, ColdFault,
-// ProcessLifecycle, and VMAMutation benchmark grids — each fast path against
-// its reference implementation for every MMU backend — plus the
-// MultiVCPUContention, DirtyScan, and PreCopy benchmarks, pairs the ns/op
+// (BENCH_pr15.json by default): it runs the TouchRange and ColdFault
+// benchmark grids — each fast path against its reference implementation for
+// every MMU backend — plus the MultiVCPUContention, DirtyScan, and PreCopy
+// benchmarks, pairs the ns/op
 // numbers into speedups, times the default-scale experiment grid serially,
 // and emits one JSON document stamped with the host's parallelism
 // (GOMAXPROCS).
@@ -13,9 +13,9 @@
 // or different host parallelism: such numbers differ for reasons that have
 // nothing to do with the code under test.
 //
-//	go run ./cmd/benchreport -out BENCH_pr14.json
+//	go run ./cmd/benchreport -out BENCH_pr15.json
 //	go run ./cmd/benchreport -benchtime 500000x -skip-grid
-//	go run ./cmd/benchreport -diff BENCH_pr9.json BENCH_pr14.json
+//	go run ./cmd/benchreport -diff BENCH_pr14.json BENCH_pr15.json
 package main
 
 import (
@@ -46,17 +46,6 @@ var coldLine = regexp.MustCompile(`^BenchmarkColdFault(Range)?/(\w+?)(?:-\d+)?\s
 // (backend, vCPU count) fault/map/unmap workload.
 var contLine = regexp.MustCompile(`^BenchmarkMultiVCPUContention/(\w+)/(vcpus=\d+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
 
-// lcLine matches one ProcessLifecycle cell: the structural fast lane (fork
-// page-table cloning, bulk subtree teardown) against the per-leaf reference
-// lane (the PerLeaf variant), per operation, backend, and image size.
-var lcLine = regexp.MustCompile(`^BenchmarkProcessLifecycle(PerLeaf)?/(fork|forkexit|exec)/(\w+?)/(pages=\d+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
-
-// vmaLine matches one VMAMutation cell: the ranged VMA-mutation fast lane
-// (structural mprotect/munmap walks, batched TLB zaps, one-pass dirty-log
-// arming) against the per-page reference lane (the PerPage variant), per
-// operation, backend, and area size.
-var vmaLine = regexp.MustCompile(`^BenchmarkVMAMutation(PerPage)?/(mprotect|munmap|dirtyarm)/(\w+?)/(pages=\d+)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
-
 // dirtyLine matches one DirtyScan cell: per backend, the cost per page
 // written and harvested through an armed dirty log.
 var dirtyLine = regexp.MustCompile(`^BenchmarkDirtyScan/(\w+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
@@ -69,25 +58,6 @@ var precopyLine = regexp.MustCompile(`^BenchmarkPreCopy(?:-\d+)?\s+\d+\s+([0-9.]
 type pair struct {
 	RangedNs  float64 `json:"ranged_ns_per_page"`
 	PerPageNs float64 `json:"per_page_ns_per_page"`
-	Speedup   float64 `json:"speedup"`
-}
-
-// lcPair is one process-lifecycle cell: the structural fast lane against the
-// per-leaf reference lane, both producing bit-identical simulations.
-type lcPair struct {
-	FastNs    float64 `json:"fast_ns_per_op"`
-	PerLeafNs float64 `json:"per_leaf_ns_per_op"`
-	Speedup   float64 `json:"speedup"`
-}
-
-// vmaPair is one ranged VMA-mutation cell: the structural fast lane against
-// the per-page reference lane, both producing bit-identical simulations.
-// ns/op is per mutation call (mprotect flips the whole area off and back on,
-// munmap drops the whole area, dirtyarm redirties and harvests it), so at a
-// fixed area size the speedup is also the ns/page speedup.
-type vmaPair struct {
-	FastNs    float64 `json:"fast_ns_per_op"`
-	PerPageNs float64 `json:"per_page_ns_per_op"`
 	Speedup   float64 `json:"speedup"`
 }
 
@@ -107,13 +77,6 @@ type report struct {
 	// ContentionBenchtime is the separate -benchtime of the
 	// MultiVCPUContention grid; -diff refuses mismatches the same way.
 	ContentionBenchtime string `json:"contention_benchtime,omitempty"`
-	// LifecycleBenchtime is the separate -benchtime of the ProcessLifecycle
-	// grid (each op is a whole fork or exec); -diff refuses mismatches.
-	LifecycleBenchtime string `json:"lifecycle_benchtime,omitempty"`
-	// VMABenchtime is the separate -benchtime of the VMAMutation grid (each
-	// op is a whole ranged mutation over a 256/1024-page area); -diff
-	// refuses mismatches.
-	VMABenchtime string `json:"vma_benchtime,omitempty"`
 	// PrecopyBenchtime is the separate -benchtime of the PreCopy benchmark
 	// (each op regenerates the whole experiment); -diff refuses mismatches.
 	PrecopyBenchtime string `json:"precopy_benchtime,omitempty"`
@@ -123,8 +86,6 @@ type report struct {
 	Notes      []string                    `json:"notes"`
 	TouchRange map[string]map[string]*pair `json:"touch_range_ns_per_page"`
 	ColdFault  map[string]*pair            `json:"cold_fault_ns_per_page,omitempty"`
-	Lifecycle  map[string]*lcPair          `json:"process_lifecycle_ns_per_op,omitempty"`
-	VMA        map[string]*vmaPair         `json:"vma_mutation_ns_per_op,omitempty"`
 	// MultiVCPU is per (backend, vCPU count) ns per page of the contended
 	// fault/map/unmap workload; DirtyScan is per-backend ns per page
 	// written and harvested through an armed dirty log; PrecopyNs is ns per
@@ -137,15 +98,13 @@ type report struct {
 
 func main() {
 	var (
-		out           = flag.String("out", "BENCH_pr14.json", "output `file`")
+		out           = flag.String("out", "BENCH_pr15.json", "output `file`")
 		benchtime     = flag.String("benchtime", "2000000x", "-benchtime passed to go test")
 		count         = flag.Int("count", 3, "-count passed to go test (best ns/op per cell is kept)")
 		skipGrid      = flag.Bool("skip-grid", false, "skip the default-grid wall-clock timings")
 		contBenchtime = flag.String("contention-benchtime", "500000x", "-benchtime for the MultiVCPUContention grid (heavier per op than the page grids)")
-		lcBenchtime   = flag.String("lifecycle-benchtime", "2000x", "-benchtime for the ProcessLifecycle grid (each op is a whole fork/exec cycle)")
-		vmaBenchtime  = flag.String("vma-benchtime", "1000x", "-benchtime for the VMAMutation grid (each op is a whole ranged mutation over a 256/1024-page area)")
 		pcBenchtime   = flag.String("precopy-benchtime", "20x", "-benchtime for the PreCopy benchmark (each op regenerates the whole experiment)")
-		baseline      = flag.String("baseline", "BENCH_pr9.json", "prior bench artifact to read the baseline grid wall clock from (empty = none)")
+		baseline      = flag.String("baseline", "BENCH_pr14.json", "prior bench artifact to read the baseline grid wall clock from (empty = none)")
 		diffMode      = flag.Bool("diff", false, "compare two artifacts: benchreport -diff old.json new.json")
 		threshold     = flag.Float64("threshold", 1.10, "with -diff, fail if any new ranged ns/op exceeds old by this factor (0 disables)")
 		force         = flag.Bool("force", false, "with -diff, compare despite mismatched benchtime or host parallelism (numbers are not like-for-like)")
@@ -161,13 +120,11 @@ func main() {
 	}
 
 	rep := report{
-		PR:                  "coroutine vclock engine",
+		PR:                  "one per-leaf path for fork, exec/exit, munmap, mprotect and dirty-log arming",
 		Date:                time.Now().Format("2006-01-02"),
 		Host:                fmt.Sprintf("%s/%s, GOMAXPROCS=%d", runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0)),
 		Benchtime:           *benchtime,
 		ContentionBenchtime: *contBenchtime,
-		LifecycleBenchtime:  *lcBenchtime,
-		VMABenchtime:        *vmaBenchtime,
 		PrecopyBenchtime:    *pcBenchtime,
 		GOMAXPROCS:          runtime.GOMAXPROCS(0),
 		Notes: []string{
@@ -176,8 +133,6 @@ func main() {
 			"resident sweeps a 1024-page working set inside the 1536-entry TLB (steady-state all hits); faulting maps+touches+unmaps so every page replays the full miss choreography",
 			"cold_fault spawns a fresh lone process per 512-page chunk so every touch is a demand-zero fault against empty tables: the bulk leaf population workload",
 			"multi_vcpu runs an N-process fault/map/unmap workload (N = 1, 2, 4, 8) on one engine; with N > 1, a gate reached away from the heap root costs a round trip through the vclock scheduler",
-			"process_lifecycle pairs the structural lifecycle fast lane (fork by level-order page-table cloning with batched COW refcounting, exec/exit by bulk subtree teardown) against the per-leaf reference lane; fork = Fork+child Exit on a resident image, forkexit adds a COW touch pass in the child, exec replaces the image in place — both lanes produce bit-identical simulations",
-			"vma_mutation pairs the ranged VMA-mutation fast lane (structural mprotect/munmap leaf-table walks, cursor shadow/EPT zaps, coalesced TLB zaps, batched refcount drops, one-pass dirty-log arming) against the per-page reference lane; mprotect = flip the whole resident area read-only and back, munmap = drop the whole resident area (the remap between iterations is untimed), dirtyarm = redirty the area and harvest it through CollectDirty — both lanes produce bit-identical simulations, so ns/op at a fixed area size is directly a ns/page comparison",
 			"dirty_scan redirties a 1024-page resident set and harvests it with CollectDirty each sweep, per backend: the write-protect lane (spt/pvm/pvm-direct) re-faults every page through its shadow choreography, the PML lane (ept variants) re-walks and ring-appends — ns/op is per page written+harvested",
 			"precopy regenerates the full pre-copy migration experiment (6 backend variants x 2 mutators at quick scale) per op",
 			"minimum ns/op of -count runs per cell after a discarded warmup pass",
@@ -188,13 +143,11 @@ func main() {
 			"faulting": {},
 		},
 		ColdFault: map[string]*pair{},
-		Lifecycle: map[string]*lcPair{},
-		VMA:       map[string]*vmaPair{},
 		MultiVCPU: map[string]float64{},
 		DirtyScan: map[string]float64{},
 	}
 
-	if err := runBenchmarks(&rep, *benchtime, *contBenchtime, *lcBenchtime, *vmaBenchtime, *pcBenchtime, *count); err != nil {
+	if err := runBenchmarks(&rep, *benchtime, *contBenchtime, *pcBenchtime, *count); err != nil {
 		fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
 		os.Exit(1)
 	}
@@ -223,16 +176,14 @@ func main() {
 
 // runBenchmarks shells out to `go test -bench` for the TouchRange/ColdFault
 // grids and (each at its own, shorter benchtime — one op is a whole contended
-// page, or a whole fork) the MultiVCPUContention and ProcessLifecycle grids,
-// folding the parsed ns/op numbers into rep. With -count > 1, the minimum
+// page, or a whole experiment run) the MultiVCPUContention grid and the
+// PreCopy benchmark, folding the parsed ns/op numbers into rep. With -count > 1, the minimum
 // ns/op per cell is kept (the usual noise filter on a shared host). A short
 // discarded warmup pass runs first so the first cell of the measured grid
 // does not pay the cold-start penalty (build cache, CPU frequency ramp).
-func runBenchmarks(rep *report, benchtime, contBenchtime, lcBenchtime, vmaBenchtime, pcBenchtime string, count int) error {
+func runBenchmarks(rep *report, benchtime, contBenchtime, pcBenchtime string, count int) error {
 	const pagePattern = "Benchmark(TouchRange(Resident|Faulting)(PerPage)?|ColdFault(Range)?|DirtyScan)/"
 	const contPattern = "BenchmarkMultiVCPUContention/"
-	const lcPattern = "BenchmarkProcessLifecycle(PerLeaf)?/"
-	const vmaPattern = "BenchmarkVMAMutation(PerPage)?/"
 	const pcPattern = "BenchmarkPreCopy$"
 	warm := exec.Command("go", "test", "-run", "^$",
 		"-bench", pagePattern,
@@ -250,16 +201,6 @@ func runBenchmarks(rep *report, benchtime, contBenchtime, lcBenchtime, vmaBencht
 		return err
 	}
 	raw = append(raw, contRaw...)
-	lcRaw, err := runBenchPass(lcPattern, lcBenchtime, count)
-	if err != nil {
-		return err
-	}
-	raw = append(raw, lcRaw...)
-	vmaRaw, err := runBenchPass(vmaPattern, vmaBenchtime, count)
-	if err != nil {
-		return err
-	}
-	raw = append(raw, vmaRaw...)
 	pcRaw, err := runBenchPass(pcPattern, pcBenchtime, count)
 	if err != nil {
 		return err
@@ -297,24 +238,7 @@ func parseBenchLines(rep *report, raw []byte) error {
 	type cell struct{ kind, config string }
 	ranged := map[cell]float64{}
 	perPage := map[cell]float64{}
-	lcFast := map[string]float64{}
-	lcPerLeaf := map[string]float64{}
-	vmaFast := map[string]float64{}
-	vmaPerPage := map[string]float64{}
 	for _, line := range regexp.MustCompile(`\r?\n`).Split(string(raw), -1) {
-		if m := vmaLine.FindStringSubmatch(line); m != nil {
-			var ns float64
-			fmt.Sscanf(m[5], "%g", &ns)
-			dst := vmaFast
-			if m[1] == "PerPage" {
-				dst = vmaPerPage
-			}
-			key := m[2] + "/" + m[3] + "/" + m[4]
-			if old, ok := dst[key]; !ok || ns < old {
-				dst[key] = ns
-			}
-			continue
-		}
 		if m := dirtyLine.FindStringSubmatch(line); m != nil {
 			var ns float64
 			fmt.Sscanf(m[2], "%g", &ns)
@@ -328,19 +252,6 @@ func parseBenchLines(rep *report, raw []byte) error {
 			fmt.Sscanf(m[1], "%g", &ns)
 			if rep.PrecopyNs == 0 || ns < rep.PrecopyNs {
 				rep.PrecopyNs = ns
-			}
-			continue
-		}
-		if m := lcLine.FindStringSubmatch(line); m != nil {
-			var ns float64
-			fmt.Sscanf(m[5], "%g", &ns)
-			dst := lcFast
-			if m[1] == "PerLeaf" {
-				dst = lcPerLeaf
-			}
-			key := m[2] + "/" + m[3] + "/" + m[4]
-			if old, ok := dst[key]; !ok || ns < old {
-				dst[key] = ns
 			}
 			continue
 		}
@@ -404,28 +315,6 @@ func parseBenchLines(rep *report, raw []byte) error {
 			rep.TouchRange[c.kind][c.config] = p
 		}
 	}
-	for key, ns := range lcFast {
-		ref, ok := lcPerLeaf[key]
-		if !ok {
-			continue
-		}
-		rep.Lifecycle[key] = &lcPair{
-			FastNs:    ns,
-			PerLeafNs: ref,
-			Speedup:   round2(ref / ns),
-		}
-	}
-	for key, ns := range vmaFast {
-		ref, ok := vmaPerPage[key]
-		if !ok {
-			continue
-		}
-		rep.VMA[key] = &vmaPair{
-			FastNs:    ns,
-			PerPageNs: ref,
-			Speedup:   round2(ref / ns),
-		}
-	}
 	return nil
 }
 
@@ -468,26 +357,6 @@ func diffReports(oldPath, newPath string, threshold float64, force bool) int {
 		}
 		fmt.Printf("WARNING: comparing across contention benchtime %s vs %s (-force)\n",
 			oldRep.ContentionBenchtime, newRep.ContentionBenchtime)
-	}
-	if oldRep.LifecycleBenchtime != "" && newRep.LifecycleBenchtime != "" &&
-		oldRep.LifecycleBenchtime != newRep.LifecycleBenchtime {
-		if !force {
-			fmt.Fprintf(os.Stderr, "benchreport: refusing to diff: lifecycle benchtime %s (%s) vs %s (%s); -force overrides\n",
-				oldRep.LifecycleBenchtime, oldPath, newRep.LifecycleBenchtime, newPath)
-			return 2
-		}
-		fmt.Printf("WARNING: comparing across lifecycle benchtime %s vs %s (-force)\n",
-			oldRep.LifecycleBenchtime, newRep.LifecycleBenchtime)
-	}
-	if oldRep.VMABenchtime != "" && newRep.VMABenchtime != "" &&
-		oldRep.VMABenchtime != newRep.VMABenchtime {
-		if !force {
-			fmt.Fprintf(os.Stderr, "benchreport: refusing to diff: vma benchtime %s (%s) vs %s (%s); -force overrides\n",
-				oldRep.VMABenchtime, oldPath, newRep.VMABenchtime, newPath)
-			return 2
-		}
-		fmt.Printf("WARNING: comparing across vma benchtime %s vs %s (-force)\n",
-			oldRep.VMABenchtime, newRep.VMABenchtime)
 	}
 	if oldRep.PrecopyBenchtime != "" && newRep.PrecopyBenchtime != "" &&
 		oldRep.PrecopyBenchtime != newRep.PrecopyBenchtime {
@@ -564,42 +433,6 @@ func diffReports(oldPath, newPath string, threshold float64, force bool) int {
 		comparePlain("dirty_scan/"+cfg, oldRep.DirtyScan[cfg], newRep.DirtyScan[cfg])
 	}
 	comparePlain("precopy/experiment", oldRep.PrecopyNs, newRep.PrecopyNs)
-	for _, key := range sortedKeys(oldRep.Lifecycle, newRep.Lifecycle) {
-		o, n := oldRep.Lifecycle[key], newRep.Lifecycle[key]
-		name := "lifecycle/" + key
-		switch {
-		case o == nil:
-			fmt.Printf("%-34s %12s %12.2f %9s\n", name, "-", n.FastNs, "new")
-		case n == nil:
-			fmt.Printf("%-34s %12.2f %12s %9s\n", name, o.FastNs, "-", "gone")
-		default:
-			mark := ""
-			if threshold > 0 && n.FastNs > o.FastNs*threshold {
-				mark = "  REGRESSION"
-				regressed++
-			}
-			fmt.Printf("%-34s %12.2f %12.2f %8.2fx%s\n", name,
-				o.FastNs, n.FastNs, o.FastNs/n.FastNs, mark)
-		}
-	}
-	for _, key := range sortedKeys(oldRep.VMA, newRep.VMA) {
-		o, n := oldRep.VMA[key], newRep.VMA[key]
-		name := "vma/" + key
-		switch {
-		case o == nil:
-			fmt.Printf("%-34s %12s %12.2f %9s\n", name, "-", n.FastNs, "new")
-		case n == nil:
-			fmt.Printf("%-34s %12.2f %12s %9s\n", name, o.FastNs, "-", "gone")
-		default:
-			mark := ""
-			if threshold > 0 && n.FastNs > o.FastNs*threshold {
-				mark = "  REGRESSION"
-				regressed++
-			}
-			fmt.Printf("%-34s %12.2f %12.2f %8.2fx%s\n", name,
-				o.FastNs, n.FastNs, o.FastNs/n.FastNs, mark)
-		}
-	}
 	if oldRep.Grid != nil && newRep.Grid != nil && newRep.Grid.WallS > 0 {
 		fmt.Printf("%-34s %11.2fs %11.2fs %8.2fx\n", "default grid wall clock",
 			oldRep.Grid.WallS, newRep.Grid.WallS, oldRep.Grid.WallS/newRep.Grid.WallS)
@@ -656,21 +489,22 @@ func timeGrid(baselinePath string) *gridTiming {
 		WallS:   round2(time.Since(start).Seconds()),
 	}
 	if baselinePath != "" {
-		if base := readBaselineWall(baselinePath); base > 0 {
+		if base, field := readBaselineWall(baselinePath); base > 0 {
 			g.BaselineWallS = base
 			g.SpeedupVsPrior = round2(base / g.WallS)
-			g.BaselineComment = baselinePath + " full_grid.after_wall_clock_s"
+			g.BaselineComment = baselinePath + " " + field
 		}
 	}
 	return g
 }
 
 // readBaselineWall pulls the prior PR's serial grid wall clock out of its
-// bench artifact; returns 0 if the file or field is missing.
-func readBaselineWall(path string) float64 {
+// bench artifact, with the name of the field it came from; returns 0 if the
+// file or field is missing.
+func readBaselineWall(path string) (float64, string) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return 0
+		return 0, ""
 	}
 	var doc struct {
 		FullGrid struct {
@@ -681,12 +515,12 @@ func readBaselineWall(path string) float64 {
 		} `json:"default_grid"`
 	}
 	if err := json.Unmarshal(raw, &doc); err != nil {
-		return 0
+		return 0, ""
 	}
 	if doc.FullGrid.AfterWallClockS > 0 {
-		return doc.FullGrid.AfterWallClockS
+		return doc.FullGrid.AfterWallClockS, "full_grid.after_wall_clock_s"
 	}
-	return doc.DefaultGrid.WallS
+	return doc.DefaultGrid.WallS, "default_grid.wall_clock_s"
 }
 
 func round2(v float64) float64 { return float64(int(v*100+0.5)) / 100 }

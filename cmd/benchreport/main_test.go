@@ -18,8 +18,6 @@ BenchmarkTouchRangeResident/KVMEPTBareMetal-8     2000000   10.95 ns/op   0 B/op
 BenchmarkTouchRangeResidentPerPage/KVMEPTBareMetal-8   2000000   21.90 ns/op
 BenchmarkColdFaultRange/PVMNested-8   500000   80.00 ns/op
 BenchmarkColdFault/PVMNested-8        500000  240.00 ns/op
-BenchmarkProcessLifecycle/fork/PVMNested/pages=256-8   2000   5000 ns/op
-BenchmarkProcessLifecyclePerLeaf/fork/PVMNested/pages=256-8   2000   15000 ns/op
 BenchmarkMultiVCPUContention/PVMNested/vcpus=4-8  500000   40.00 ns/op
 BenchmarkMultiVCPUContention/PVMNested/vcpus=4-8  500000   38.00 ns/op
 BenchmarkDirtyScan/KVMEPTBareMetal-8   1000000   14.50 ns/op
@@ -35,7 +33,6 @@ func newTestReport() *report {
 	return &report{
 		TouchRange: map[string]map[string]*pair{"resident": {}, "faulting": {}},
 		ColdFault:  map[string]*pair{},
-		Lifecycle:  map[string]*lcPair{},
 		MultiVCPU:  map[string]float64{},
 		DirtyScan:  map[string]float64{},
 	}
@@ -58,9 +55,6 @@ func TestParseBenchLines(t *testing.T) {
 	}
 	if c := rep.ColdFault["PVMNested"]; c == nil || c.RangedNs != 80 || c.PerPageNs != 240 {
 		t.Errorf("cold fault pair = %+v", c)
-	}
-	if lc := rep.Lifecycle["fork/PVMNested/pages=256"]; lc == nil || lc.FastNs != 5000 || lc.PerLeafNs != 15000 {
-		t.Errorf("lifecycle pair = %+v", lc)
 	}
 	if got := rep.MultiVCPU["PVMNested/vcpus=4"]; got != 38 {
 		t.Errorf("contention PVMNested/vcpus=4 = %v, want min-folded 38", got)
@@ -105,7 +99,6 @@ func baseArtifact() report {
 		PR:                  "old",
 		Benchtime:           "2000000x",
 		ContentionBenchtime: "500000x",
-		LifecycleBenchtime:  "2000x",
 		PrecopyBenchtime:    "20x",
 		GOMAXPROCS:          8,
 		TouchRange: map[string]map[string]*pair{
@@ -223,5 +216,20 @@ func TestDiffRejectsUnreadableArtifact(t *testing.T) {
 	}
 	if code := diffReports(goodPath, badPath, 1.10, false); code != 2 {
 		t.Error("corrupt new artifact did not exit 2")
+	}
+}
+
+// TestReadBaselineWallNamesItsField pins the provenance label of the grid
+// baseline: artifacts since BENCH_pr14.json carry default_grid, not the
+// older full_grid section, and the label must say which one was read.
+func TestReadBaselineWallNamesItsField(t *testing.T) {
+	rep := baseArtifact()
+	rep.Grid = &gridTiming{WallS: 18.42}
+	wall, field := readBaselineWall(writeArtifact(t, "prior.json", rep))
+	if wall != 18.42 || field != "default_grid.wall_clock_s" {
+		t.Errorf("readBaselineWall = %v, %q; want 18.42, default_grid.wall_clock_s", wall, field)
+	}
+	if wall, _ := readBaselineWall(filepath.Join(t.TempDir(), "missing.json")); wall != 0 {
+		t.Errorf("missing artifact: wall %v, want 0", wall)
 	}
 }

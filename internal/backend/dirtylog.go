@@ -83,19 +83,6 @@ func dirtyLogged(va arch.VA, e pagetable.Entry) bool {
 	return !e.Flags.Has(pagetable.Global) && va < arch.KernelSpaceStart
 }
 
-// dirtySweep write-protects every logged leaf of pt. The swept tables are
-// the shadow/machine tables the hardware walks — never hooked — so the
-// batched one-pass sweep applies; the per-leaf reference sweep is retained
-// behind the VMA bypass for the equivalence grids (both strip the same
-// leaves in the same order with the same stats; see WriteProtectLeavesBulk).
-// Returns the number of leaves protected: the arming sweep's charge unit.
-func dirtySweep(pt *pagetable.PageTable) int {
-	if guest.VMABypass() {
-		return pt.WriteProtectLeaves(dirtyLogged)
-	}
-	return pt.WriteProtectLeavesBulk(dirtyLogged)
-}
-
 // dirtyRecordShadow records one write in a shadow lane. Called at the top of
 // the strategies' resolve paths: a dirtying write either hits a shadow leaf
 // whose write permission survived (already recorded — record dedups) or

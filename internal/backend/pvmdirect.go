@@ -305,7 +305,7 @@ func (m *pvmDirectMMU) dirtyOps(p *guest.Process) shadowDirtyOps {
 		replay: func() { m.applyBatch(p, d) },
 		sweep: func() {
 			lock.With(c, 0, func() {
-				n := dirtySweep(d.sptUser)
+				n := d.sptUser.WriteProtectLeaves(dirtyLogged)
 				c.AdvanceLazy(int64(n) * prm.DirtyLogProtect)
 			})
 		},

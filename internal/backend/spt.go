@@ -137,11 +137,7 @@ func (m *sptMMU) onGPTWrite(p *guest.Process, ev pagetable.WriteEvent) {
 		}
 	})
 	if ev.Leaf {
-		if d.vmaDefer {
-			d.vmaZap = append(d.vmaZap, ev.VA)
-		} else {
-			d.tlb.FlushPage(g.VPID, d.pcidUser, ev.VA)
-		}
+		d.tlb.FlushPage(g.VPID, d.pcidUser, ev.VA)
 	}
 	m.entry(c, p)
 }
@@ -327,7 +323,7 @@ func (m *sptMMU) dirtyOps(p *guest.Process) shadowDirtyOps {
 		entry: func() { m.entry(c, p) },
 		sweep: func() {
 			m.mmuLock.With(c, 0, func() {
-				n := dirtySweep(d.sptUser)
+				n := d.sptUser.WriteProtectLeaves(dirtyLogged)
 				c.AdvanceLazy(m.hold(int64(n) * prm.DirtyLogProtect))
 			})
 		},

@@ -1,8 +1,7 @@
 // Package check is the simulator's shared correctness oracle: a
 // deterministic metamorphic test harness for the simulator's fast paths
 // (indexed scheduler, ranged TLB-hit runs, span-cached page-table cursors,
-// fused cost charging, the structural lifecycle and VMA lanes) and for those
-// still to come.
+// fused cost charging) and for those still to come.
 //
 // The harness has three layers:
 //
@@ -26,7 +25,6 @@ import (
 	"fmt"
 
 	"repro/internal/backend"
-	"repro/internal/guest"
 	"repro/internal/pagetable"
 )
 
@@ -106,29 +104,6 @@ func cursorBypassOn(on bool, fn func()) {
 	if on {
 		pagetable.SetCursorBypass(true)
 		defer pagetable.SetCursorBypass(false)
-	}
-	fn()
-}
-
-// lifecycleBypassOn applies the guest process-lifecycle bypass (per-leaf
-// fork copy and teardown instead of the structural fast lane) for the
-// duration of fn, under the same serialization contract as cursorBypassOn.
-func lifecycleBypassOn(on bool, fn func()) {
-	if on {
-		guest.SetLifecycleBypass(true)
-		defer guest.SetLifecycleBypass(false)
-	}
-	fn()
-}
-
-// vmaBypassOn applies the guest ranged-mutation bypass (per-page munmap and
-// mprotect loops, per-leaf dirty-log arming sweeps instead of the structural
-// fast lane) for the duration of fn, under the same serialization contract
-// as cursorBypassOn.
-func vmaBypassOn(on bool, fn func()) {
-	if on {
-		guest.SetVMABypass(true)
-		defer guest.SetVMABypass(false)
 	}
 	fn()
 }

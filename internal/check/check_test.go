@@ -33,36 +33,6 @@ func TestMetamorphicCorpus(t *testing.T) {
 	}
 }
 
-// TestLifecycleFastLaneDifferential is the fork/teardown structural fast
-// lane's full-stack differential: for each seed, the lifecycle-off run (the
-// retained per-leaf fork copy and per-leaf teardown) must reproduce the
-// baseline's observables — clocks, makespan, metrics, trace digest — bit for
-// bit, and at least one scenario in the sweep must actually fork so the
-// differential is known to compare the lane against a lane that ran.
-func TestLifecycleFastLaneDifferential(t *testing.T) {
-	forked := false
-	for seed := uint64(1); seed <= 32; seed++ {
-		p := Generate(seed)
-		base, err := Run(p, Variant{Name: "baseline"})
-		if err != nil {
-			t.Fatalf("seed %d baseline: %v", seed, err)
-		}
-		off, err := Run(p, Variant{Name: "lifecycle-off", LifecycleOff: true})
-		if err != nil {
-			t.Fatalf("seed %d lifecycle-off: %v", seed, err)
-		}
-		if d := Diff(base, off); d != "" {
-			t.Fatalf("seed %d: lifecycle fast lane changed observables: %s", seed, d)
-		}
-		if base.Metrics.Forks > 0 {
-			forked = true
-		}
-	}
-	if !forked {
-		t.Fatal("no scenario in seeds 1..32 forked; differential is vacuous")
-	}
-}
-
 // TestDirtyLogVariantDifferential pins the dirty-log fuzz lane: for each
 // seed, the dirtylog-on run must be self-deterministic (identical rerun,
 // identical dirty digest), and the sweep as a whole must actually collect

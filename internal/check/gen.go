@@ -200,8 +200,8 @@ func genOps(r *rng, n, depth int) []Op {
 		case w < 68:
 			ops = append(ops, Op{Kind: OpMprotect, Sel: r.intn(1 << 16), Write: r.chance(50)})
 		case w < 76:
-			// Fork and exec carry more weight since PR 8 so the nightly
-			// fuzz window keeps the process-lifecycle fast lane hot.
+			// Fork and exec carry extra weight so the nightly fuzz
+			// window keeps fork's COW copy and exec/exit teardown hot.
 			if depth < 2 {
 				ops = append(ops, Op{Kind: OpFork, Child: genOps(r, r.between(6, 14), depth+1)})
 			} else {

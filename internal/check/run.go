@@ -21,8 +21,6 @@ type Variant struct {
 	ByPage       bool // ranged access off: TouchRange becomes the per-page loop
 	CursorBypass bool // pagetable Mapper/Reader span caches off
 	Eager        bool // fused cost charging off: every lazy charge gates immediately
-	LifecycleOff bool // fork/exec/exit structural fast lane off: per-leaf reference paths
-	VMAOff       bool // munmap/mprotect/dirty-arm structural fast lane off: per-page reference loops
 
 	// Fault injections, applied at every generated checkpoint.
 	DropTLBCaches bool // invalidate the TLB's micro-TLB and run links
@@ -45,11 +43,9 @@ func Variants() []Variant {
 		{Name: "eager-charges", Eager: true},
 		{Name: "drop-tlb-caches", DropTLBCaches: true},
 		{Name: "spurious-sync", SpuriousSync: true},
-		{Name: "lifecycle-off", LifecycleOff: true},
 		{Name: "dirtylog-on", DirtyLog: true},
-		{Name: "vma-off", VMAOff: true},
 		{Name: "everything", ByPage: true, CursorBypass: true, Eager: true,
-			LifecycleOff: true, VMAOff: true, DropTLBCaches: true, SpuriousSync: true},
+			DropTLBCaches: true, SpuriousSync: true},
 	}
 }
 
@@ -118,11 +114,7 @@ func runVariant(p *Program, v Variant, inspect func(*backend.System)) (Observati
 			}
 		}
 	}
-	cursorBypassOn(v.CursorBypass, func() {
-		lifecycleBypassOn(v.LifecycleOff, func() {
-			vmaBypassOn(v.VMAOff, body)
-		})
-	})
+	cursorBypassOn(v.CursorBypass, body)
 	return o, runErr
 }
 

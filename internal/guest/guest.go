@@ -80,17 +80,6 @@ type Platform interface {
 	// single PCID-targeted flush.
 	FlushRange(p *Process, pages int)
 
-	// BeginRangedMutation / EndRangedMutation bracket one ranged VMA
-	// mutation sweep (the structural munmap/mprotect lanes). Between
-	// them the platform may defer the per-page TLB zaps its PTE-store
-	// hooks would issue, coalescing them at End into ranged zaps over
-	// the affected runs — an mmu_gather-style batching that changes no
-	// virtual-time charge, gate, counter, or trace. End is called before
-	// the mutation's FlushRange. The bracket must nest trivially: one
-	// mutation at a time per process.
-	BeginRangedMutation(p *Process)
-	EndRangedMutation(p *Process)
-
 	// SyscallRoundTrip charges a guest user→kernel→user transition plus
 	// the in-kernel body cost.
 	SyscallRoundTrip(p *Process, body int64)
@@ -391,19 +380,8 @@ func (p *Process) Fork(childCPU *vclock.CPU) (*Process, error) {
 	// Copy the page-table image: parent's writable leaves become
 	// read-only (COW) — these stores hit the parent's *shadowed* GPT and
 	// trap; the child's fresh GPT is not yet shadowed, so building it
-	// does not trap. The structural fast lane (lifecycle.go) clones whole
-	// tables; the per-leaf reference path is retained for the equivalence
-	// grids and must stay observationally identical.
-	var (
-		leaves int
-		taken  []shareRun
-		cerr   error
-	)
-	if lifecycleBypass {
-		leaves, taken, cerr = p.forkCopyPerLeaf(child)
-	} else {
-		leaves, taken, cerr = p.forkCopyClone(child)
-	}
+	// does not trap.
+	leaves, taken, cerr := p.forkCopy(child)
 	if cerr != nil {
 		// Unwind the half-built child: its table frames and the reference
 		// counts already taken must not leak (the child was never entered
@@ -468,10 +446,21 @@ func (p *Process) teardownAddressSpace() error {
 	p.K.plat.UnregisterProcess(p)
 	p.GPT.OnWrite = nil
 	p.gptMapper.Reset() // cached leaf must not outlive the table teardown
-	if lifecycleBypass {
-		return p.teardownPerLeaf()
+	gpa := p.K.GPA
+	var err error
+	p.GPT.Range(func(va arch.VA, e pagetable.Entry) bool {
+		// Release the backing before the frame reaches the free list: a
+		// frame another vCPU allocates must never arrive still backed.
+		if gpa.RefCount(e.PFN) == 1 {
+			p.K.plat.ReleasePage(p, va, e.PFN)
+		}
+		_, err = gpa.Free(e.PFN)
+		return err == nil
+	})
+	if err != nil {
+		return err
 	}
-	return p.teardownSubtree()
+	return p.GPT.Destroy()
 }
 
 // HandleFault is the guest kernel's page-fault handler, invoked by the

@@ -58,9 +58,6 @@ func (f *fakePlatform) FlushRange(p *Process, pages int) {
 	f.flushes++
 }
 
-func (f *fakePlatform) BeginRangedMutation(p *Process) {}
-func (f *fakePlatform) EndRangedMutation(p *Process)   {}
-
 func (f *fakePlatform) StartDirtyLog(p *Process)          {}
 func (f *fakePlatform) CollectDirty(p *Process) []arch.VA { return nil }
 func (f *fakePlatform) StopDirtyLog(p *Process)           {}
@@ -468,10 +465,9 @@ func newLimitedKernel(limit int64) (*Kernel, *fakePlatform) {
 // TestForkUnwindLeaksNothing is the regression test for fork's mid-copy
 // error paths: when the child's table-frame allocation fails partway, the
 // half-built child GPT, its table frames, and the reference counts already
-// taken must all be returned — in both the structural fast lane and the
-// per-leaf reference lane. The limit sweep starts at the baseline footprint
-// plus one frame and walks upward so the failure lands at every stage of
-// the copy (first table, mid-leaves, deep subtree).
+// taken must all be returned. The limit sweep starts at the baseline
+// footprint plus one frame and walks upward so the failure lands at every
+// stage of the copy (first table, mid-leaves, deep subtree).
 func TestForkUnwindLeaksNothing(t *testing.T) {
 	const imagePages = 40
 	// Baseline footprint: a kernel with one resident process.
@@ -486,59 +482,51 @@ func TestForkUnwindLeaksNothing(t *testing.T) {
 		_ = p
 		inUse = base.GPA.InUse()
 	})
-	for _, lane := range []struct {
-		name    string
-		perLeaf bool
-	}{{"structural", false}, {"per-leaf", true}} {
-		t.Run(lane.name, func(t *testing.T) {
-			if lane.perLeaf {
-				SetLifecycleBypass(true)
-				defer SetLifecycleBypass(false)
-			}
-			failed := false
-			for extra := int64(1); extra <= 6; extra++ {
-				k, _ := newLimitedKernel(inUse + extra)
-				run(k, func(c *vclock.CPU) {
-					p, err := k.StartProcess(c, imagePages)
-					if err != nil {
-						t.Errorf("extra=%d: StartProcess: %v", extra, err)
-						return
+	// Fork copies the parent's leaves one by one (the per-leaf path).
+	t.Run("per-leaf", func(t *testing.T) {
+		failed := false
+		for extra := int64(1); extra <= 6; extra++ {
+			k, _ := newLimitedKernel(inUse + extra)
+			run(k, func(c *vclock.CPU) {
+				p, err := k.StartProcess(c, imagePages)
+				if err != nil {
+					t.Errorf("extra=%d: StartProcess: %v", extra, err)
+					return
+				}
+				before := k.GPA.InUse()
+				child, err := p.Fork(nil)
+				if err == nil {
+					// Enough headroom: the fork must be complete and
+					// coherent instead.
+					if child.ResidentPages() != p.ResidentPages() {
+						t.Errorf("extra=%d: child resident %d != parent %d",
+							extra, child.ResidentPages(), p.ResidentPages())
 					}
-					before := k.GPA.InUse()
-					child, err := p.Fork(nil)
-					if err == nil {
-						// Enough headroom: the fork must be complete and
-						// coherent instead.
-						if child.ResidentPages() != p.ResidentPages() {
-							t.Errorf("extra=%d: child resident %d != parent %d",
-								extra, child.ResidentPages(), p.ResidentPages())
-						}
-						if err := child.Exit(); err != nil {
-							t.Errorf("extra=%d: child exit: %v", extra, err)
-						}
-						return
+					if err := child.Exit(); err != nil {
+						t.Errorf("extra=%d: child exit: %v", extra, err)
 					}
-					failed = true
-					if after := k.GPA.InUse(); after != before {
-						t.Errorf("extra=%d: failed fork leaked %d frames (%d -> %d)",
-							extra, after-before, before, after)
-					}
-					// The parent must remain fully usable: COW protections
-					// left behind resolve as sole-owner re-enables.
-					p.TouchRange(ImageBase, imagePages, true)
-					if err := p.Exit(); err != nil {
-						t.Errorf("extra=%d: parent exit after failed fork: %v", extra, err)
-					}
-					if leftover := k.GPA.InUse(); leftover != 0 {
-						t.Errorf("extra=%d: %d frames leaked after parent exit", extra, leftover)
-					}
-				})
-			}
-			if !failed {
-				t.Fatal("no fork in the limit sweep failed; regression test is vacuous")
-			}
-		})
-	}
+					return
+				}
+				failed = true
+				if after := k.GPA.InUse(); after != before {
+					t.Errorf("extra=%d: failed fork leaked %d frames (%d -> %d)",
+						extra, after-before, before, after)
+				}
+				// The parent must remain fully usable: COW protections
+				// left behind resolve as sole-owner re-enables.
+				p.TouchRange(ImageBase, imagePages, true)
+				if err := p.Exit(); err != nil {
+					t.Errorf("extra=%d: parent exit after failed fork: %v", extra, err)
+				}
+				if leftover := k.GPA.InUse(); leftover != 0 {
+					t.Errorf("extra=%d: %d frames leaked after parent exit", extra, leftover)
+				}
+			})
+		}
+		if !failed {
+			t.Fatal("no fork in the limit sweep failed; regression test is vacuous")
+		}
+	})
 }
 
 // TestForkUnwindSharedFrames drives the unwind across a fork chain, where
@@ -609,14 +597,65 @@ func TestForkUnwindSharedFrames(t *testing.T) {
 	}
 }
 
+// TestForkUnwindMidStream fails a fork after it has copied a whole leaf
+// table: the parent's image spans two leaf tables, and the frame limit lets
+// the child build its first leaf table but not its second. The copy has by
+// then write-protected, shared and mapped 512 leaves; the unwind must return
+// every frame and reference count they took, and the parent's exit must
+// leave the allocator empty.
+func TestForkUnwindMidStream(t *testing.T) {
+	const imagePages = arch.EntriesPerTable + 88 // two leaf tables
+	base, _ := newTestKernel()
+	var inUse int64
+	run(base, func(c *vclock.CPU) {
+		if _, err := base.StartProcess(c, imagePages); err != nil {
+			t.Error(err)
+			return
+		}
+		inUse = base.GPA.InUse()
+	})
+	// The child's root comes from pagetable.New; three more tables (L3, L2
+	// and the first leaf table) fit, the second leaf table does not.
+	k, _ := newLimitedKernel(inUse + 4)
+	run(k, func(c *vclock.CPU) {
+		p, err := k.StartProcess(c, imagePages)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		before := k.GPA.InUse()
+		if _, err := p.Fork(nil); err == nil {
+			t.Error("fork fit under the frame limit; the test no longer fails it mid-stream")
+			return
+		}
+		first, _ := p.GPT.Lookup(ImageBase)
+		last, _ := p.GPT.Lookup(ImageBase + (imagePages-1)*arch.PageSize)
+		if first.Flags.Has(pagetable.Writable) || !last.Flags.Has(pagetable.Writable) {
+			t.Errorf("fork did not fail mid-stream: first leaf %v, last leaf %v", first.Flags, last.Flags)
+		}
+		if rc := k.GPA.RefCount(first.PFN); rc != 1 {
+			t.Errorf("copied frame rc %d after unwind, want 1", rc)
+		}
+		if after := k.GPA.InUse(); after != before {
+			t.Errorf("failed fork leaked %d frames (%d -> %d)", after-before, before, after)
+		}
+		if err := p.Exit(); err != nil {
+			t.Errorf("parent exit after failed fork: %v", err)
+		}
+		if leftover := k.GPA.InUse(); leftover != 0 {
+			t.Errorf("%d frames leaked after parent exit", leftover)
+		}
+	})
+}
+
 // TestMunmapUnwindLeaksNothing sweeps allocator limits so demand population
 // of an area aborts at every stage — mid-leaf-table, at a leaf-table
 // boundary (where the fault's own table-frame allocation fails), deep into
-// the second table — and then munmaps the partially populated area in both
-// lanes. Whatever the population managed to build, the unmap must release
-// exactly the present frames (whole-area and split/shrink cuts alike), and
-// process exit must return the allocator to empty: no leaked frames, no
-// stray refcounts, in the structural fast lane and the per-page reference.
+// the second table — and then munmaps the partially populated area.
+// Whatever the population managed to build, the unmap must release exactly
+// the present frames (whole-area and split/shrink cuts alike), and process
+// exit must return the allocator to empty: no leaked frames, no stray
+// refcounts.
 func TestMunmapUnwindLeaksNothing(t *testing.T) {
 	const imagePages = 8
 	const areaPages = 600 // spans two leaf tables
@@ -632,74 +671,66 @@ func TestMunmapUnwindLeaksNothing(t *testing.T) {
 		p.Mmap(areaPages)
 		inUse = base.GPA.InUse()
 	})
-	for _, lane := range []struct {
-		name    string
-		perPage bool
-	}{{"structural", false}, {"per-page", true}} {
-		t.Run(lane.name, func(t *testing.T) {
-			if lane.perPage {
-				SetVMABypass(true)
-				defer SetVMABypass(false)
-			}
-			aborted := false
-			for extra := int64(0); extra <= 8; extra++ {
-				k, _ := newLimitedKernel(inUse + extra)
-				run(k, func(c *vclock.CPU) {
-					p, err := k.StartProcess(c, imagePages)
-					if err != nil {
-						t.Errorf("extra=%d: StartProcess: %v", extra, err)
-						return
+	// Munmap releases the area page by page (the per-page path).
+	t.Run("per-page", func(t *testing.T) {
+		aborted := false
+		for extra := int64(0); extra <= 8; extra++ {
+			k, _ := newLimitedKernel(inUse + extra)
+			run(k, func(c *vclock.CPU) {
+				p, err := k.StartProcess(c, imagePages)
+				if err != nil {
+					t.Errorf("extra=%d: StartProcess: %v", extra, err)
+					return
+				}
+				area := p.Mmap(areaPages)
+				faulted := 0
+				for i := 0; i < areaPages; i++ {
+					if _, err := k.HandleFault(p, area+arch.VA(i)*arch.PageSize, true); err != nil {
+						aborted = true
+						break
 					}
-					area := p.Mmap(areaPages)
-					faulted := 0
-					for i := 0; i < areaPages; i++ {
-						if _, err := k.HandleFault(p, area+arch.VA(i)*arch.PageSize, true); err != nil {
-							aborted = true
-							break
-						}
-						faulted++
+					faulted++
+				}
+				populated := k.GPA.InUse()
+				// A middle cut first (split/shrink bookkeeping over the
+				// half-built area), then the remnants.
+				cut, cutPages := area+150*arch.PageSize, 300
+				freedByCut := 0
+				for i := 0; i < cutPages; i++ {
+					if _, ok := p.GPT.Lookup(cut + arch.VA(i)*arch.PageSize); ok {
+						freedByCut++
 					}
-					populated := k.GPA.InUse()
-					// A middle cut first (split/shrink bookkeeping over the
-					// half-built area), then the remnants.
-					cut, cutPages := area+150*arch.PageSize, 300
-					freedByCut := 0
-					for i := 0; i < cutPages; i++ {
-						if _, ok := p.GPT.Lookup(cut + arch.VA(i)*arch.PageSize); ok {
-							freedByCut++
-						}
-					}
-					if err := p.Munmap(cut, cutPages); err != nil {
-						t.Errorf("extra=%d: middle munmap: %v", extra, err)
-						return
-					}
-					if got, want := k.GPA.InUse(), populated-int64(freedByCut); got != want {
-						t.Errorf("extra=%d: InUse %d after middle cut, want %d", extra, got, want)
-					}
-					if err := p.Munmap(area, 150); err != nil {
-						t.Errorf("extra=%d: head munmap: %v", extra, err)
-						return
-					}
-					if err := p.Munmap(area+450*arch.PageSize, 150); err != nil {
-						t.Errorf("extra=%d: tail munmap: %v", extra, err)
-						return
-					}
-					if got, want := k.GPA.InUse(), populated-int64(faulted); got != want {
-						t.Errorf("extra=%d: InUse %d after full unmap, want %d (faulted %d)",
-							extra, got, want, faulted)
-					}
-					if err := p.Exit(); err != nil {
-						t.Errorf("extra=%d: exit: %v", extra, err)
-						return
-					}
-					if leftover := k.GPA.InUse(); leftover != 0 {
-						t.Errorf("extra=%d: %d frames leaked after exit", extra, leftover)
-					}
-				})
-			}
-			if !aborted {
-				t.Fatal("no population in the limit sweep aborted; regression test is vacuous")
-			}
-		})
-	}
+				}
+				if err := p.Munmap(cut, cutPages); err != nil {
+					t.Errorf("extra=%d: middle munmap: %v", extra, err)
+					return
+				}
+				if got, want := k.GPA.InUse(), populated-int64(freedByCut); got != want {
+					t.Errorf("extra=%d: InUse %d after middle cut, want %d", extra, got, want)
+				}
+				if err := p.Munmap(area, 150); err != nil {
+					t.Errorf("extra=%d: head munmap: %v", extra, err)
+					return
+				}
+				if err := p.Munmap(area+450*arch.PageSize, 150); err != nil {
+					t.Errorf("extra=%d: tail munmap: %v", extra, err)
+					return
+				}
+				if got, want := k.GPA.InUse(), populated-int64(faulted); got != want {
+					t.Errorf("extra=%d: InUse %d after full unmap, want %d (faulted %d)",
+						extra, got, want, faulted)
+				}
+				if err := p.Exit(); err != nil {
+					t.Errorf("extra=%d: exit: %v", extra, err)
+					return
+				}
+				if leftover := k.GPA.InUse(); leftover != 0 {
+					t.Errorf("extra=%d: %d frames leaked after exit", extra, leftover)
+				}
+			})
+		}
+		if !aborted {
+			t.Fatal("no population in the limit sweep aborted; regression test is vacuous")
+		}
+	})
 }

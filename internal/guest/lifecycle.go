@@ -1,131 +1,61 @@
-// Process-lifecycle fast lane: fork's page-table image copy and exec/exit's
-// address-space teardown rebuilt on the structural pagetable primitives
-// (Clone, ReleaseSubtree) and batched refcounting (mem.ShareRun/FreeBatch),
-// with the per-leaf reference implementations retained for the equivalence
-// grids. Both lanes charge identical virtual time at identical points: one
-// PTEWrite ahead of each parent-side COW protect store (which traps when the
-// parent's table is shadowed) and one PTEWrite per child-side leaf store, in
-// ascending VA order — so the schedules, metrics, and trace digests are
-// bit-identical (TestForkTeardownEquivalence, pvmfuzz lifecycle-off variant).
+// Fork's copy phase: a per-leaf loop over the parent's page table in
+// ascending VA order, charging one PTE store per parent-side COW
+// write-protect (which traps when the parent's table is shadowed) and one
+// per child-side leaf store, plus the unwind of a copy that failed.
 package guest
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/pagetable"
 )
 
-// lifecycleBypass, when set, routes Fork and teardownAddressSpace through
-// the retained per-leaf reference implementations. Like the pagetable
-// cursor bypass, it is package-global test plumbing read without
-// synchronization: it must only change while no simulation is running.
-var lifecycleBypass bool
-
-// SetLifecycleBypass disables (on=true) or restores (on=false) the
-// structural fork/teardown fast lane. Must not be toggled while a
-// simulation is running.
-func SetLifecycleBypass(on bool) { lifecycleBypass = on }
-
-// shareRun records a run of consecutive frames whose reference counts a
+// frameRun records a run of consecutive frames whose reference counts a
 // fork in progress has taken, so a failed copy can return exactly those.
-type shareRun struct {
+type frameRun struct {
 	base arch.PFN
 	n    int
 }
 
-// extendShareRuns folds pfn into the trailing run if consecutive, else
+// extendRuns folds pfn into the trailing run if consecutive, else
 // starts a new run.
-func extendShareRuns(runs []shareRun, pfn arch.PFN) []shareRun {
+func extendRuns(runs []frameRun, pfn arch.PFN) []frameRun {
 	if k := len(runs) - 1; k >= 0 && pfn == runs[k].base+arch.PFN(runs[k].n) {
 		runs[k].n++
 		return runs
 	}
-	return append(runs, shareRun{base: pfn, n: 1})
+	return append(runs, frameRun{base: pfn, n: 1})
 }
 
-// forkCopyClone is the structural fast lane of fork's copy phase: one pass
-// over the parent's table tree via pagetable.Clone, with frame sharing
-// batched into ShareRun calls over consecutive-frame runs. Frame refcounts
-// are invisible to other vCPUs (only the forking process family reads them,
-// and the family shares a vCPU — every Fork in the tree passes a nil child
-// CPU), so deferring a Share to the end of its run cannot reorder any
-// observable; the virtual-time charges stay strictly per-leaf.
-func (p *Process) forkCopyClone(child *Process) (leaves int, taken []shareRun, err error) {
+// forkCopy is fork's copy phase: each present leaf of the parent is
+// write-protected, its frame shared, and the page mapped read-only into the
+// child, one leaf at a time through the span-cached cursors (one
+// upper-level walk per 2 MiB). It returns the number of leaves copied and
+// the reference counts taken, which a failed copy must return.
+func (p *Process) forkCopy(child *Process) (leaves int, taken []frameRun, err error) {
 	k := p.K
 	prm := k.plat.Params()
-	var pend shareRun
-	flush := func() error {
-		if pend.n == 0 {
-			return nil
-		}
-		if serr := k.GPA.ShareRun(pend.base, pend.n); serr != nil {
-			return serr
-		}
-		taken = append(taken, pend)
-		pend = shareRun{}
-		return nil
-	}
-	leaves, err = p.GPT.Clone(child.GPT, pagetable.CloneHooks{
-		BeforeProtect: func(va arch.VA, e pagetable.Entry) {
-			p.CPU.AdvanceLazy(prm.PTEWrite)
-		},
-		OnLeaf: func(va arch.VA, e pagetable.Entry) error {
-			if pend.n > 0 && e.PFN == pend.base+arch.PFN(pend.n) {
-				pend.n++
-			} else {
-				if ferr := flush(); ferr != nil {
-					return ferr
-				}
-				pend = shareRun{base: e.PFN, n: 1}
-			}
-			p.CPU.AdvanceLazy(prm.PTEWrite)
-			return nil
-		},
-	})
-	if err != nil {
-		// The pending run was never shared; return only what was taken.
-		return leaves, taken, err
-	}
-	return leaves, taken, flush()
-}
-
-// forkCopyPerLeaf is the per-leaf reference implementation of fork's copy
-// phase: materialize every leaf, then write-protect, share, and map one page
-// at a time through the span-cached cursors. The fast lane must be
-// observationally indistinguishable from this loop.
-func (p *Process) forkCopyPerLeaf(child *Process) (int, []shareRun, error) {
-	k := p.K
-	prm := k.plat.Params()
-	type leafEnt struct {
-		va arch.VA
-		e  pagetable.Entry
-	}
-	var leaves []leafEnt
+	// Range hands the callback a copy of each entry, and Protect rewrites
+	// only that leaf, so the walk sees every leaf as it was before the fork.
+	// Working inside the callback keeps no slice of the parent's leaves.
 	p.GPT.Range(func(va arch.VA, e pagetable.Entry) bool {
-		leaves = append(leaves, leafEnt{va, e})
+		if e.Flags.Has(pagetable.Writable) {
+			p.CPU.AdvanceLazy(prm.PTEWrite)
+			p.gptMapper.Protect(va, e.Flags&^pagetable.Writable) // traps if shadowed
+		}
+		if err = k.GPA.Share(e.PFN); err != nil {
+			return false
+		}
+		taken = extendRuns(taken, e.PFN)
+		p.CPU.AdvanceLazy(prm.PTEWrite)
+		if _, err = child.gptMapper.Map(va, e.PFN, (e.Flags&^pagetable.Writable)&^(pagetable.Accessed|pagetable.Dirty)); err != nil {
+			return false
+		}
+		leaves++
 		return true
 	})
-	var taken []shareRun
-	// Range yields leaves in ascending VA order, so both the parent's
-	// COW write-protect sweep and the child's population run through the
-	// span-cached cursors with one upper-level walk per 2 MiB.
-	for _, le := range leaves {
-		if le.e.Flags.Has(pagetable.Writable) {
-			p.CPU.AdvanceLazy(prm.PTEWrite)
-			p.gptMapper.Protect(le.va, le.e.Flags&^pagetable.Writable) // traps if shadowed
-		}
-		if err := k.GPA.Share(le.e.PFN); err != nil {
-			return len(leaves), taken, err
-		}
-		taken = extendShareRuns(taken, le.e.PFN)
-		p.CPU.AdvanceLazy(prm.PTEWrite)
-		if _, err := child.gptMapper.Map(le.va, le.e.PFN, (le.e.Flags&^pagetable.Writable)&^(pagetable.Accessed|pagetable.Dirty)); err != nil {
-			return len(leaves), taken, err
-		}
-	}
-	return len(leaves), taken, nil
+	return leaves, taken, err
 }
 
 // abortFork unwinds a failed fork copy: the half-built child table tree is
@@ -135,7 +65,7 @@ func (p *Process) forkCopyPerLeaf(child *Process) (int, []shareRun, error) {
 // place. The child was never registered with the platform or entered into
 // the process table; its PID is simply consumed, as a failed real fork
 // consumes one.
-func (p *Process) abortFork(child *Process, taken []shareRun) error {
+func (p *Process) abortFork(child *Process, taken []frameRun) error {
 	child.gptMapper.Reset()
 	if err := child.GPT.Destroy(); err != nil {
 		return err
@@ -146,68 +76,6 @@ func (p *Process) abortFork(child *Process, taken []shareRun) error {
 		}
 	}
 	return nil
-}
-
-// teardownSubtree is the structural fast lane of address-space teardown:
-// one pass over the table tree via ReleaseSubtree, handling each batch of
-// data frames with two allocator lock acquisitions (FreeKeepLast, then
-// FreeBatch for the sole-owned frames once their backing is released)
-// instead of two per page. The per-page ReleasePage calls — the stores that
-// gate and charge — run in exactly the reference's ascending VA order;
-// shared-frame decrements complete earlier and sole-owned frames reach the
-// free list later than in the reference, both invisible outside the process
-// family (which shares a vCPU; see forkCopyClone).
-func (p *Process) teardownSubtree() error {
-	// The batch buffers come from a pool: captured by the callback closure
-	// they would otherwise escape to the heap (8 KiB) on every teardown.
-	bufs := teardownBufPool.Get().(*teardownBufs)
-	defer teardownBufPool.Put(bufs)
-	gpa := p.K.GPA
-	return p.GPT.ReleaseSubtree(func(vas []arch.VA, pfns []arch.PFN) error {
-		idx, err := gpa.FreeKeepLast(pfns, bufs.idx[:0])
-		if err != nil {
-			return err
-		}
-		if len(idx) == 0 {
-			return nil
-		}
-		last := bufs.last[:0]
-		for _, i := range idx {
-			// Release the backing before the frame reaches the free list: a
-			// frame another vCPU allocates must never arrive still backed.
-			p.K.plat.ReleasePage(p, vas[i], pfns[i])
-			last = append(last, pfns[i])
-		}
-		return gpa.FreeBatch(last)
-	})
-}
-
-// teardownBufs are the per-batch scratch buffers of teardownSubtree, pooled
-// because concurrent vCPUs can tear processes down simultaneously.
-type teardownBufs struct {
-	idx  [arch.EntriesPerTable]int
-	last [arch.EntriesPerTable]arch.PFN
-}
-
-var teardownBufPool = sync.Pool{New: func() any { return new(teardownBufs) }}
-
-// teardownPerLeaf is the per-leaf reference implementation of address-space
-// teardown: walk every leaf from the root, then free the table frames.
-func (p *Process) teardownPerLeaf() error {
-	var err error
-	p.GPT.Range(func(va arch.VA, e pagetable.Entry) bool {
-		if p.K.GPA.RefCount(e.PFN) == 1 {
-			p.K.plat.ReleasePage(p, va, e.PFN)
-		}
-		if _, err = p.K.GPA.Free(e.PFN); err != nil {
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	return p.GPT.Destroy()
 }
 
 // forkError wraps a copy-phase error with the outcome of the unwind, so an

@@ -106,34 +106,10 @@ func (a *Allocator) Share(pfn arch.PFN) error {
 	return nil
 }
 
-// ShareRun increments the reference count of n consecutive frames starting
-// at pfn under one lock acquisition — the batched form of n Share calls that
-// fork's page-table clone issues for runs of sequentially allocated frames.
-// The run is validated before any count changes, so a failed ShareRun leaves
-// every count untouched.
-func (a *Allocator) ShareRun(pfn arch.PFN, n int) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	i := a.idx(pfn)
-	if i < 0 || i+n > len(a.refs) {
-		return fmt.Errorf("mem: %s: share of unallocated frame %#x", a.name, pfn+arch.PFN(n-1))
-	}
-	run := a.refs[i : i+n]
-	for j, rc := range run {
-		if rc == 0 {
-			return fmt.Errorf("mem: %s: share of unallocated frame %#x", a.name, pfn+arch.PFN(j))
-		}
-	}
-	for j := range run {
-		run[j]++
-	}
-	return nil
-}
-
 // FreeRun decrements n consecutive frames starting at pfn under one lock
 // acquisition, with per-frame Free semantics (released to the free list, in
 // run order, when a count reaches zero). Fork's error unwind uses it to
-// return the reference counts ShareRun took.
+// return the reference counts its Share calls took.
 func (a *Allocator) FreeRun(pfn arch.PFN, n int) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -143,44 +119,6 @@ func (a *Allocator) FreeRun(pfn arch.PFN, n int) error {
 		}
 	}
 	return nil
-}
-
-// FreeBatch decrements every listed frame under one lock acquisition, with
-// per-frame Free semantics: frames whose count reaches zero go to the free
-// list in slice order. Bulk teardown uses it for a leaf table's data frames
-// and for the table frames themselves.
-func (a *Allocator) FreeBatch(pfns []arch.PFN) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, pfn := range pfns {
-		if _, err := a.freeLocked(pfn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// FreeKeepLast is the teardown sweep over one batch of data frames: frames
-// with more than one reference are decremented (a Free that cannot release);
-// frames at their last reference are left allocated and their indices
-// appended to idx. The caller releases the backing of each kept frame and
-// then frees them with FreeBatch — preserving the invariant that a frame's
-// backing is gone before the frame can reach the free list.
-func (a *Allocator) FreeKeepLast(pfns []arch.PFN, idx []int) ([]int, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for i, pfn := range pfns {
-		j := a.idx(pfn)
-		if j < 0 || a.refs[j] == 0 {
-			return idx, fmt.Errorf("mem: %s: free of unallocated frame %#x", a.name, pfn)
-		}
-		if a.refs[j] > 1 {
-			a.refs[j]--
-			continue
-		}
-		idx = append(idx, i)
-	}
-	return idx, nil
 }
 
 // freeLocked is Free's body; the caller holds a.mu.
@@ -216,23 +154,6 @@ func (a *Allocator) RefCount(pfn arch.PFN) int32 {
 		return a.refs[i]
 	}
 	return 0
-}
-
-// RefCountBatch writes the reference count of each frame in pfns to the
-// corresponding slot of out (0 for frames the allocator never issued) under
-// one lock acquisition — the batched form of per-frame RefCount that ranged
-// mutation sweeps use to classify a run of frames in one step. out must be
-// at least len(pfns) long.
-func (a *Allocator) RefCountBatch(pfns []arch.PFN, out []int32) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for i, pfn := range pfns {
-		if j := a.idx(pfn); j >= 0 {
-			out[i] = a.refs[j]
-		} else {
-			out[i] = 0
-		}
-	}
 }
 
 // InUse returns the number of live frames.

@@ -110,28 +110,6 @@ func TestPropertyNoDoubleAllocation(t *testing.T) {
 	}
 }
 
-func TestShareRunValidatesBeforeMutating(t *testing.T) {
-	a := NewAllocator("p", 0, 0x10)
-	p1 := a.MustAlloc()
-	p2 := a.MustAlloc()
-	if p2 != p1+1 {
-		t.Fatalf("frames not consecutive: %#x, %#x", p1, p2)
-	}
-	// Run of 3 crosses into an unallocated frame: nothing may change.
-	if err := a.ShareRun(p1, 3); err == nil {
-		t.Fatal("ShareRun over an unallocated frame did not error")
-	}
-	if rc := a.RefCount(p1); rc != 1 {
-		t.Fatalf("rc(p1) = %d after failed ShareRun, want 1", rc)
-	}
-	if err := a.ShareRun(p1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if a.RefCount(p1) != 2 || a.RefCount(p2) != 2 {
-		t.Fatalf("rc = %d,%d after ShareRun, want 2,2", a.RefCount(p1), a.RefCount(p2))
-	}
-}
-
 func TestFreeRunMatchesPerFrameFree(t *testing.T) {
 	run := func(batch bool) Stats {
 		a := NewAllocator("p", 0, 0x10)
@@ -139,8 +117,10 @@ func TestFreeRunMatchesPerFrameFree(t *testing.T) {
 		for i := 0; i < 7; i++ {
 			a.MustAlloc()
 		}
-		if err := a.ShareRun(base, 4); err != nil { // first 4 frames rc=2
-			t.Fatal(err)
+		for i := 0; i < 4; i++ { // first 4 frames rc=2
+			if err := a.Share(base + arch.PFN(i)); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if batch {
 			if err := a.FreeRun(base, 8); err != nil {
@@ -157,60 +137,5 @@ func TestFreeRunMatchesPerFrameFree(t *testing.T) {
 	}
 	if got, want := run(true), run(false); got != want {
 		t.Fatalf("FreeRun stats %+v != per-frame Free %+v", got, want)
-	}
-}
-
-func TestFreeBatchRecyclesInSliceOrder(t *testing.T) {
-	a := NewAllocator("p", 0, 0x10)
-	var pfns []arch.PFN
-	for i := 0; i < 4; i++ {
-		pfns = append(pfns, a.MustAlloc())
-	}
-	// Free in reverse: the free list takes them in slice order, so the
-	// next allocations pop them back LIFO — exactly as per-frame Free
-	// calls in the same order would.
-	rev := []arch.PFN{pfns[3], pfns[2], pfns[1], pfns[0]}
-	if err := a.FreeBatch(rev); err != nil {
-		t.Fatal(err)
-	}
-	for i := 3; i >= 0; i-- {
-		// LIFO pop order: the last frame appended to the free list (the
-		// last slice element) comes back first.
-		if got := a.MustAlloc(); got != rev[i] {
-			t.Fatalf("realloc got %#x, want %#x", got, rev[i])
-		}
-	}
-}
-
-func TestFreeKeepLastSplitsSharedFromSole(t *testing.T) {
-	a := NewAllocator("p", 0, 0x10)
-	shared := a.MustAlloc()
-	sole := a.MustAlloc()
-	sole2 := a.MustAlloc()
-	if err := a.Share(shared); err != nil {
-		t.Fatal(err)
-	}
-	idx, err := a.FreeKeepLast([]arch.PFN{shared, sole, sole2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx) != 2 || idx[0] != 1 || idx[1] != 2 {
-		t.Fatalf("kept indices = %v, want [1 2]", idx)
-	}
-	if rc := a.RefCount(shared); rc != 1 {
-		t.Fatalf("rc(shared) = %d, want 1 (decremented)", rc)
-	}
-	// Sole-owned frames stay allocated until the caller FreeBatches them.
-	if rc := a.RefCount(sole); rc != 1 {
-		t.Fatalf("rc(sole) = %d, want 1 (still allocated)", rc)
-	}
-	if err := a.FreeBatch([]arch.PFN{sole, sole2}); err != nil {
-		t.Fatal(err)
-	}
-	if a.InUse() != 1 { // only `shared` remains
-		t.Fatalf("InUse = %d, want 1", a.InUse())
-	}
-	if _, err := a.FreeKeepLast([]arch.PFN{sole}, nil); err == nil {
-		t.Fatal("FreeKeepLast of an unallocated frame did not error")
 	}
 }

@@ -4,17 +4,16 @@ import (
 	"repro/internal/arch"
 )
 
-// This file holds the dirty-logging structural primitive: WriteProtectLeaves,
-// the bulk write-protect sweep that arms the shadow-paging dirty-log lane.
-// It reuses the parent-side COW protect store of Clone (lifecycle.go) — an
-// in-place masked store through pt.write, firing OnWrite when hooked and
-// accruing Protects/PTEWrites exactly as a per-leaf Protect loop would — but
-// walks whole tables instead of descending from the root once per leaf.
+// This file holds the dirty-logging primitives: WriteProtectLeaves, the
+// write-protect sweep that arms the shadow-paging dirty-log lane — one
+// in-place masked store per leaf through pt.write, firing OnWrite when
+// hooked and accruing Protects/PTEWrites exactly as a per-leaf Protect loop
+// would — and ScanClearDirty, the hardware dirty-bit harvest.
 
 // WriteProtectLeaves strips Writable from every present writable leaf (4 KiB
 // and 2 MiB Large alike) for which match returns true, in ascending VA order.
 // All other flag bits — in particular Accessed and Dirty — survive, as they
-// do in Clone's COW protect. It returns the number of leaves protected: the
+// do in fork's COW protect. It returns the number of leaves protected: the
 // per-leaf unit the dirty-log arming sweep charges for.
 //
 // Hypervisors arm dirty logging with it on the table the hardware actually

@@ -439,27 +439,45 @@ func (pt *PageTable) CountMapped() int {
 	return n
 }
 
-// Destroy releases every table frame back to the allocator. The PageTable
-// must not be used afterwards.
+// Destroy releases every table frame back to the allocator, in TableFrames
+// order. The allocator's free list is LIFO, so this order decides which
+// frames the next allocations receive. The PageTable must not be used
+// afterwards.
 func (pt *PageTable) Destroy() error {
-	for pfn, t := range pt.tables {
+	frames := pt.TableFrames()
+	if len(frames) != len(pt.tables) {
+		// Every table is linked from its parent by a Present entry (Unmap
+		// never clears intermediate entries), so the walk must see them
+		// all; anything else is a structural corruption.
+		return fmt.Errorf("pagetable: Destroy reached %d of %d tables", len(frames), len(pt.tables))
+	}
+	for _, pfn := range frames {
 		if _, err := pt.alloc.Free(pfn); err != nil {
 			return err
 		}
-		putTable(t)
+		putTable(pt.tables[pfn])
 	}
 	pt.tables = nil
 	pt.stats.Tables = 0
 	return nil
 }
 
-// TableFrames returns the PFNs of all live table frames (root included);
-// shadowing layers write-protect exactly these frames in the shadow
-// structure to trap guest page-table stores.
+// TableFrames returns the PFNs of all live table frames (root included) in
+// depth-first post-order from the root: each table after the tables below
+// it, siblings in ascending VA order. Shadowing layers write-protect exactly
+// these frames in the shadow structure to trap guest page-table stores.
 func (pt *PageTable) TableFrames() []arch.PFN {
-	out := make([]arch.PFN, 0, len(pt.tables))
-	for pfn := range pt.tables {
-		out = append(out, pfn)
+	return pt.postOrder(pt.root, arch.PTLevels, make([]arch.PFN, 0, len(pt.tables)))
+}
+
+func (pt *PageTable) postOrder(pfn arch.PFN, level int, out []arch.PFN) []arch.PFN {
+	if level > 1 {
+		t := pt.tables[pfn]
+		for i := range t.entries {
+			if e := t.entries[i]; e.Flags.Has(Present) && !e.Flags.Has(Large) {
+				out = pt.postOrder(e.PFN, level-1, out)
+			}
+		}
 	}
-	return out
+	return append(out, pfn)
 }

@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -217,6 +218,48 @@ func TestDestroyReleasesFrames(t *testing.T) {
 	}
 	if alloc.InUse() != 0 {
 		t.Fatalf("frames leaked after Destroy: %d", alloc.InUse())
+	}
+}
+
+// TestDestroyOrderIsFixed pins the order in which Destroy returns table
+// frames: DFS post-order from the root, the order TableFrames reports. The
+// allocator's free list is LIFO, so that order decides which frames the
+// next allocations receive — every table built after an exec or exit. A
+// map-ordered Destroy hands out different frames on each run.
+func TestDestroyOrderIsFixed(t *testing.T) {
+	reuse := func() (frames, next []arch.PFN) {
+		alloc := mem.NewAllocator("pt", 0, 0)
+		pt, err := New(alloc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 64; i++ { // one leaf table per 2 MiB span
+			if _, err := pt.Map(arch.VA(i)*LargePageSpan, 0x100000+arch.PFN(i), Writable); err != nil {
+				t.Fatal(err)
+			}
+		}
+		frames = pt.TableFrames()
+		if err := pt.Destroy(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 8; i++ {
+			next = append(next, alloc.MustAlloc())
+		}
+		return frames, next
+	}
+	frames, first := reuse()
+	if n := len(frames); n != 64+3 || frames[n-1] != 0 {
+		t.Fatalf("TableFrames = %d frames ending at %#x, want 67 ending at the root", n, frames[n-1])
+	}
+	for i, pfn := range first {
+		if want := frames[len(frames)-1-i]; pfn != want {
+			t.Fatalf("allocation %d after Destroy got frame %#x, want %#x (LIFO over TableFrames order)", i, pfn, want)
+		}
+	}
+	for run := 0; run < 8; run++ {
+		if _, next := reuse(); !slices.Equal(next, first) {
+			t.Fatalf("run %d reused frames %v, first run %v", run, next, first)
+		}
 	}
 }
 

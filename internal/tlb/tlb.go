@@ -333,40 +333,6 @@ func (t *TLB) FlushPage(vpid arch.VPID, pcid arch.PCID, va arch.VA) {
 	}
 }
 
-// ZapRange removes the translations of pages consecutive pages starting at
-// va — INVLPG applied to a run. Per page it removes exactly what FlushPage
-// would (same map entries dropped, same FlushPage/FlushedEnts motion), but
-// the structural generation advances once for the whole call instead of
-// once per removed entry. That is unobservable: gen only guards the
-// micro-TLB and run links, and one bump severs them as thoroughly as n
-// bumps. Returns the number of entries removed.
-func (t *TLB) ZapRange(vpid arch.VPID, pcid arch.PCID, va arch.VA, pages int) int {
-	if pages <= 0 {
-		return 0
-	}
-	t.stats.FlushPage += int64(pages)
-	if len(t.entries) == 0 {
-		return 0
-	}
-	k := pack(vpid, pcid, va.PageNumber())
-	n := 0
-	for p := 0; p < pages; p++ {
-		// Consecutive pages differ by one in the packed form.
-		if i, ok := t.entries[k+uint64(p)]; ok {
-			t.detach(i)
-			delete(t.entries, t.nodes[i].key)
-			t.nodes[i].next = t.free
-			t.free = i
-			n++
-		}
-	}
-	if n > 0 {
-		t.gen++
-		t.stats.FlushedEnts += int64(n)
-	}
-	return n
-}
-
 // FlushPCID removes all non-global entries of one (VPID, PCID) address
 // space and returns how many entries were dropped.
 func (t *TLB) FlushPCID(vpid arch.VPID, pcid arch.PCID) int {

@@ -92,22 +92,6 @@ type Process = guest.Process
 // Kernel is the paravirtualized guest kernel inside each Guest.
 type Kernel = guest.Kernel
 
-// SetLifecycleBypass disables (true) or restores (false) the structural
-// process-lifecycle fast lane (fork page-table cloning, exec/exit bulk
-// teardown), routing those paths through the per-leaf reference
-// implementations instead. The lanes are observationally identical; the
-// toggle exists for the equivalence grids and the PerLeaf benchmarks, and
-// must only change while no simulation is running.
-func SetLifecycleBypass(on bool) { guest.SetLifecycleBypass(on) }
-
-// SetVMABypass disables (true) or restores (false) the ranged VMA-mutation
-// fast lane (structural mprotect/munmap walks, batched TLB zaps, one-pass
-// dirty-log arming), routing those paths through the per-page reference
-// loops instead. Same contract as SetLifecycleBypass: observationally
-// identical lanes, toggled only while no simulation runs (the equivalence
-// grids and the PerPage mutation benchmarks).
-func SetVMABypass(on bool) { guest.SetVMABypass(on) }
-
 // CPU is a simulated vCPU with a deterministic virtual clock.
 type CPU = vclock.CPU
 
