@@ -1,5 +1,5 @@
 // Command benchreport produces the PR's before/after performance artifact
-// (BENCH_pr15.json by default): it runs the TouchRange and ColdFault
+// (BENCH_pr16.json by default): it runs the TouchRange and ColdFault
 // benchmark grids — each fast path against its reference implementation for
 // every MMU backend — plus the MultiVCPUContention, DirtyScan, and PreCopy
 // benchmarks, pairs the ns/op
@@ -13,9 +13,9 @@
 // or different host parallelism: such numbers differ for reasons that have
 // nothing to do with the code under test.
 //
-//	go run ./cmd/benchreport -out BENCH_pr15.json
+//	go run ./cmd/benchreport -out BENCH_pr16.json
 //	go run ./cmd/benchreport -benchtime 500000x -skip-grid
-//	go run ./cmd/benchreport -diff BENCH_pr14.json BENCH_pr15.json
+//	go run ./cmd/benchreport -diff BENCH_pr15.json BENCH_pr16.json
 package main
 
 import (
@@ -98,13 +98,13 @@ type report struct {
 
 func main() {
 	var (
-		out           = flag.String("out", "BENCH_pr15.json", "output `file`")
+		out           = flag.String("out", "BENCH_pr16.json", "output `file`")
 		benchtime     = flag.String("benchtime", "2000000x", "-benchtime passed to go test")
 		count         = flag.Int("count", 3, "-count passed to go test (best ns/op per cell is kept)")
 		skipGrid      = flag.Bool("skip-grid", false, "skip the default-grid wall-clock timings")
 		contBenchtime = flag.String("contention-benchtime", "500000x", "-benchtime for the MultiVCPUContention grid (heavier per op than the page grids)")
 		pcBenchtime   = flag.String("precopy-benchtime", "20x", "-benchtime for the PreCopy benchmark (each op regenerates the whole experiment)")
-		baseline      = flag.String("baseline", "BENCH_pr14.json", "prior bench artifact to read the baseline grid wall clock from (empty = none)")
+		baseline      = flag.String("baseline", "BENCH_pr15.json", "prior bench artifact to read the baseline grid wall clock from (empty = none)")
 		diffMode      = flag.Bool("diff", false, "compare two artifacts: benchreport -diff old.json new.json")
 		threshold     = flag.Float64("threshold", 1.10, "with -diff, fail if any new ranged ns/op exceeds old by this factor (0 disables)")
 		force         = flag.Bool("force", false, "with -diff, compare despite mismatched benchtime or host parallelism (numbers are not like-for-like)")

@@ -43,12 +43,17 @@ func (v VA) PageNumber() uint64 { return uint64(v) >> PageShift }
 // Index returns the radix index of v at the given level. Level PTLevels
 // is the root (PML4); level 1 indexes the leaf page table.
 func (v VA) Index(level int) int {
-	if level < 1 || level > PTLevels {
-		panic(fmt.Sprintf("arch: bad page-table level %d", level))
+	if uint(level-1) >= PTLevels {
+		panic(badLevel(level))
 	}
 	shift := PageShift + IndexBits*(level-1)
 	return int((uint64(v) >> shift) & (EntriesPerTable - 1))
 }
+
+// badLevel is the panic value for an out-of-range level.
+type badLevel int
+
+func (l badLevel) Error() string { return fmt.Sprintf("arch: bad page-table level %d", int(l)) }
 
 // Canonical reports whether the address fits the simulated 48-bit space.
 func (v VA) Canonical() bool { return uint64(v)>>VABits == 0 }

@@ -35,15 +35,6 @@ func (g *Guest) AuditProcess(p *guest.Process) error {
 // cost re-derivation, never change an observable.
 func (g *Guest) DropTLBCaches(p *guest.Process) { pd(p).tlb.DropCaches() }
 
-// get returns the frame backing gpa without allocating.
-func (f *frameMap) get(gpa arch.PFN) (arch.PFN, bool) {
-	s := f.shard(gpa)
-	s.mu.Lock()
-	t, ok := s.m[gpa]
-	s.mu.Unlock()
-	return t, ok
-}
-
 // tlbVA recovers the page-aligned virtual address of a TLB tag.
 func tlbVA(k tlb.Key) arch.VA { return arch.VA(k.VPN) << arch.PageShift }
 

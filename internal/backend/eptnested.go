@@ -59,7 +59,7 @@ func newEPTNestedMMU(g *Guest) *eptNestedMMU {
 		ept12:   newShadowPT(g.Sys.L1.GPA),
 		ept02:   newShadowPT(g.Sys.Host.HPA),
 		l1Lock:  g.Sys.Eng.NewLock("l1-mmu:" + g.Name),
-		backing: newFrameMap(),
+		backing: newFrameMap(g.Kern.GPA.Base()),
 	}
 	// EPT12 is read-only to L1: every store traps to L0, which emulates
 	// it and updates its shadow structures under the L0 mmu_lock

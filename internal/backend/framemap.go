@@ -1,84 +1,64 @@
 package backend
 
 import (
-	"sync"
-
 	"repro/internal/arch"
 )
 
-// frameShards is the number of independently locked slices of a frameMap
-// (power of two).
-const frameShards = 8
-
-// frameShard is one cache-line-padded slice of the map. The padding keeps
-// each shard's mutex on its own line, mirroring the sharded-counter layout
-// in internal/metrics: vCPU goroutines are ordered by the vclock engine,
-// but their bookkeeping overlaps in real time, and under -parallel
-// experiment fan-out a single mutex protecting every backingFrame call
-// becomes a coherence hot spot.
-type frameShard struct {
-	mu sync.Mutex
-	m  map[arch.PFN]arch.PFN
-	_  [64 - 16]byte
-}
-
 // frameMap maps guest-physical frames to the machine frames backing them
-// (host-physical on bare metal, L1-guest-physical when nested). Keys are
-// spread over shards by their low bits, so frames allocated by different
-// vCPUs rarely contend. Determinism is unaffected: which frame backs a
-// given gpa depends only on the (virtually serialized) order of allocator
-// calls, not on which shard holds the mapping.
+// (host-physical on bare metal, L1-guest-physical when nested). The guest
+// allocator hands out frame numbers densely from its base, so the map is a
+// slice indexed by gpa-base, grown on demand, with 0 marking an unbacked
+// frame: no machine allocator starts at frame 0. Only the engine's single
+// scheduler goroutine runs vCPUs, and every experiment cell builds its own
+// System, so the map needs no lock. Which frame backs a given gpa depends
+// only on the (virtually serialized) order of allocator calls.
 type frameMap struct {
-	shards [frameShards]frameShard
+	base   arch.PFN
+	target []arch.PFN // target[gpa-base], 0 = unbacked
+	n      int        // backed frames
 }
 
-func newFrameMap() *frameMap {
-	f := &frameMap{}
-	for i := range f.shards {
-		f.shards[i].m = map[arch.PFN]arch.PFN{}
+// newFrameMap returns an empty map over the guest frames numbered from
+// base.
+func newFrameMap(base arch.PFN) *frameMap { return &frameMap{base: base} }
+
+// get returns the frame backing gpa without allocating.
+func (f *frameMap) get(gpa arch.PFN) (arch.PFN, bool) {
+	i := int(gpa - f.base)
+	if gpa < f.base || i >= len(f.target) || f.target[i] == 0 {
+		return 0, false
 	}
-	return f
+	return f.target[i], true
 }
 
-func (f *frameMap) shard(gpa arch.PFN) *frameShard {
-	return &f.shards[uint64(gpa)&(frameShards-1)]
-}
-
-// getOrAlloc returns the frame backing gpa, calling alloc (under the
-// shard lock) to establish one on first use. It reports whether the frame
-// was freshly allocated.
+// getOrAlloc returns the frame backing gpa, calling alloc to establish one
+// on first use. It reports whether the frame was freshly allocated.
 func (f *frameMap) getOrAlloc(gpa arch.PFN, alloc func() arch.PFN) (target arch.PFN, alloced bool) {
-	s := f.shard(gpa)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t, ok := s.m[gpa]; ok {
+	if t, ok := f.get(gpa); ok {
 		return t, false
 	}
+	if gpa < f.base {
+		panic("backend: backing requested for a frame below the guest's frame range")
+	}
+	i := int(gpa - f.base)
+	if i >= len(f.target) {
+		f.target = append(f.target, make([]arch.PFN, i+1-len(f.target))...)
+	}
 	t := alloc()
-	s.m[gpa] = t
+	f.target[i] = t
+	f.n++
 	return t, true
 }
 
 // remove drops gpa's backing mapping, returning the frame that backed it.
 func (f *frameMap) remove(gpa arch.PFN) (arch.PFN, bool) {
-	s := f.shard(gpa)
-	s.mu.Lock()
-	t, ok := s.m[gpa]
+	t, ok := f.get(gpa)
 	if ok {
-		delete(s.m, gpa)
+		f.target[gpa-f.base] = 0
+		f.n--
 	}
-	s.mu.Unlock()
 	return t, ok
 }
 
 // len returns the number of backed frames.
-func (f *frameMap) len() int {
-	n := 0
-	for i := range f.shards {
-		s := &f.shards[i]
-		s.mu.Lock()
-		n += len(s.m)
-		s.mu.Unlock()
-	}
-	return n
-}
+func (f *frameMap) len() int { return f.n }

@@ -40,8 +40,8 @@ func newPVMMMU(g *Guest, nested bool) *pvmMMU {
 	m := &pvmMMU{
 		g:       g,
 		nested:  nested,
-		locks:   core.NewLockSet(g.Sys.Eng, g.Name, mode),
-		backing: newFrameMap(),
+		locks:   core.NewLockSet(g.Sys.Eng, g.Name, mode, g.Kern.GPA.Base()),
+		backing: newFrameMap(g.Kern.GPA.Base()),
 	}
 	m.sw = core.NewSwitcher(m.tableAlloc())
 	return m

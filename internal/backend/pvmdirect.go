@@ -42,8 +42,8 @@ func newPVMDirectMMU(g *Guest, nested bool) *pvmDirectMMU {
 	m := &pvmDirectMMU{
 		g:       g,
 		nested:  nested,
-		locks:   core.NewLockSet(g.Sys.Eng, g.Name, mode),
-		backing: newFrameMap(),
+		locks:   core.NewLockSet(g.Sys.Eng, g.Name, mode, g.Kern.GPA.Base()),
+		backing: newFrameMap(g.Kern.GPA.Base()),
 	}
 	m.sw = core.NewSwitcher(m.tableAlloc())
 	return m

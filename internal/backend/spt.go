@@ -43,7 +43,7 @@ type sptMMU struct {
 }
 
 func newSPTMMU(g *Guest, nested bool) *sptMMU {
-	m := &sptMMU{g: g, nested: nested, backing: newFrameMap()}
+	m := &sptMMU{g: g, nested: nested, backing: newFrameMap(g.Kern.GPA.Base())}
 	if nested {
 		m.mmuLock = g.Sys.Eng.NewLock("l1-mmu:" + g.Name)
 	} else {

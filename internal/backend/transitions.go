@@ -61,17 +61,11 @@ func (g *Guest) l2ToL1(c *vclock.CPU) {
 	if g.vmcs12 == nil {
 		return
 	}
-	for i := 0; i < prm.VMCSAccessesPerExit; i++ {
-		if i%2 == 0 {
-			g.vmcs12.Read(arch.NonRootMode)
-		} else {
-			g.vmcs12.Write(arch.NonRootMode)
-		}
-	}
-	if !g.vmcs12.Shadowed {
-		n := int64(prm.VMCSAccessesPerExit)
-		ctr.L0Exits.Add(n)
-		c.AdvanceLazy(n * (2*prm.SwitchHW + prm.VMCSAccess))
+	// L1's handler alternates VMREAD and VMWRITE, starting with a read.
+	n := prm.VMCSAccessesPerExit
+	if trapped := int64(g.vmcs12.Access(arch.NonRootMode, (n+1)/2, n/2)); trapped > 0 {
+		ctr.L0Exits.Add(trapped)
+		c.AdvanceLazy(trapped * (2*prm.SwitchHW + prm.VMCSAccess))
 	}
 }
 

@@ -111,7 +111,7 @@ func TestPCIDAllocatorWindows(t *testing.T) {
 
 func TestLockSetGranularity(t *testing.T) {
 	eng := vclock.NewEngine()
-	ls := NewLockSet(eng, "g", FineLock)
+	ls := NewLockSet(eng, "g", FineLock, 0)
 	// Same 2 MiB span → same pt_lock; different spans or owners → distinct.
 	a := ls.PT(1, 0x200000)
 	b := ls.PT(1, 0x200000+arch.PageSize)

@@ -110,7 +110,9 @@ type ptKey struct {
 	span  arch.VA
 }
 
-// LockSet is the shadow-page-table lock hierarchy of one PVM guest.
+// LockSet is the shadow-page-table lock hierarchy of one PVM guest. Only
+// the engine's scheduler goroutine runs the guest's vCPUs, one at a time,
+// so the lazily built lock tables need no host mutex.
 type LockSet struct {
 	Mode LockMode
 
@@ -123,30 +125,33 @@ type LockSet struct {
 
 	eng *vclock.Engine
 
-	ptMu    sync.Mutex
 	ptLocks map[ptKey]*vclock.Lock
 
-	rmapMu    sync.Mutex
-	rmapLocks map[arch.PFN]*vclock.Lock
+	// rmapLocks[gfn-base] is the rmap_lock of guest frame gfn, created on
+	// first use: the guest allocator hands out frames densely from base.
+	// rmapLow holds the locks of frames below base, which only the zero
+	// PFN of a cleared PTE reaches.
+	base      arch.PFN
+	rmapLocks []*vclock.Lock
+	rmapLow   []*vclock.Lock
 }
 
-// NewLockSet builds a lock set for one guest.
-func NewLockSet(eng *vclock.Engine, guestName string, mode LockMode) *LockSet {
+// NewLockSet builds a lock set for one guest whose frames are numbered from
+// base.
+func NewLockSet(eng *vclock.Engine, guestName string, mode LockMode, base arch.PFN) *LockSet {
 	return &LockSet{
-		Mode:      mode,
-		Meta:      eng.NewLock("pvm-meta:" + guestName),
-		Coarse:    eng.NewLock("pvm-mmu:" + guestName),
-		eng:       eng,
-		ptLocks:   map[ptKey]*vclock.Lock{},
-		rmapLocks: map[arch.PFN]*vclock.Lock{},
+		Mode:    mode,
+		Meta:    eng.NewLock("pvm-meta:" + guestName),
+		Coarse:  eng.NewLock("pvm-mmu:" + guestName),
+		eng:     eng,
+		ptLocks: map[ptKey]*vclock.Lock{},
+		base:    base,
 	}
 }
 
 // PT returns the pt_lock covering va in the given address space.
 func (ls *LockSet) PT(owner int, va arch.VA) *vclock.Lock {
 	k := ptKey{owner: owner, span: va >> (arch.PageShift + arch.IndexBits)}
-	ls.ptMu.Lock()
-	defer ls.ptMu.Unlock()
 	l, ok := ls.ptLocks[k]
 	if !ok {
 		l = ls.eng.NewLock("pvm-pt")
@@ -157,23 +162,24 @@ func (ls *LockSet) PT(owner int, va arch.VA) *vclock.Lock {
 
 // Rmap returns the rmap_lock of a guest frame.
 func (ls *LockSet) Rmap(gfn arch.PFN) *vclock.Lock {
-	ls.rmapMu.Lock()
-	defer ls.rmapMu.Unlock()
-	l, ok := ls.rmapLocks[gfn]
-	if !ok {
+	locks, i := &ls.rmapLocks, int(gfn-ls.base)
+	if gfn < ls.base {
+		locks, i = &ls.rmapLow, int(gfn)
+	}
+	if i >= len(*locks) {
+		*locks = append(*locks, make([]*vclock.Lock, i+1-len(*locks))...)
+	}
+	l := (*locks)[i]
+	if l == nil {
 		l = ls.eng.NewLock("pvm-rmap")
-		ls.rmapLocks[gfn] = l
+		(*locks)[i] = l
 	}
 	return l
 }
 
 // PTLockCount returns how many distinct pt_locks have been created (a proxy
 // for shadow-page granularity in tests).
-func (ls *LockSet) PTLockCount() int {
-	ls.ptMu.Lock()
-	defer ls.ptMu.Unlock()
-	return len(ls.ptLocks)
-}
+func (ls *LockSet) PTLockCount() int { return len(ls.ptLocks) }
 
 // PCIDAllocator implements the PCID-mapping optimization (§3.3.2): L1's
 // unused PCIDs 32–47 are handed to L2 guest-kernel (v_ring0) address spaces

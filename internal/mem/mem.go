@@ -55,6 +55,10 @@ func NewAllocator(name string, limit int64, base arch.PFN) *Allocator {
 // Name returns the allocator's diagnostic name.
 func (a *Allocator) Name() string { return a.name }
 
+// Base returns the first frame number the allocator hands out; every frame
+// it allocates is at or above it.
+func (a *Allocator) Base() arch.PFN { return a.base }
+
 // idx returns the refs index for pfn, or -1 if pfn was never handed out.
 func (a *Allocator) idx(pfn arch.PFN) int {
 	if pfn < a.base || pfn >= a.next {

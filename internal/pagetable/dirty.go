@@ -21,30 +21,33 @@ import (
 // Global and kernel-half leaves — those are hypervisor state (the switcher),
 // not logged guest memory.
 func (pt *PageTable) WriteProtectLeaves(match func(va arch.VA, e Entry) bool) int {
-	return pt.protectFrom(pt.tables[pt.root], arch.PTLevels, 0, match)
+	return pt.protectFrom(pt.tabs[0], arch.PTLevels, 0, match)
 }
 
 func (pt *PageTable) protectFrom(t *table, level int, base arch.VA, match func(arch.VA, Entry) bool) int {
 	span := arch.VA(1) << (arch.PageShift + arch.IndexBits*(level-1))
 	n := 0
 	for i := 0; i < arch.EntriesPerTable; i++ {
-		e := t.entries[i]
-		if !e.Flags.Has(Present) {
+		f := Flags(t.pte[i])
+		if !f.Has(Present) {
 			continue
 		}
 		va := base + arch.VA(i)*span
-		if level == 1 || e.Flags.Has(Large) {
-			if !e.Flags.Has(Writable) || !match(va, e) {
-				continue
-			}
-			ne := e
-			ne.Flags &^= Writable
-			pt.write(level, va, true, t, i, ne)
-			pt.stats.Protects++
-			n++
+		if k := t.kid[i]; k != 0 {
+			n += pt.protectFrom(pt.tabs[k], level-1, va, match)
 			continue
 		}
-		n += pt.protectFrom(pt.tables[e.PFN], level-1, va, match)
+		if !f.Has(Writable) {
+			continue
+		}
+		e := t.entry(i)
+		if !match(va, e) {
+			continue
+		}
+		e.Flags &^= Writable
+		pt.write(level, va, true, t, i, e)
+		pt.stats.Protects++
+		n++
 	}
 	return n
 }
@@ -58,25 +61,24 @@ func (pt *PageTable) protectFrom(t *table, level int, base arch.VA, match func(a
 // logging lanes against on configurations whose guest tables have
 // hardware-maintained A/D bits (ept, eptnested).
 func (pt *PageTable) ScanClearDirty(fn func(va arch.VA)) {
-	pt.scanClearFrom(pt.tables[pt.root], arch.PTLevels, 0, fn)
+	pt.scanClearFrom(pt.tabs[0], arch.PTLevels, 0, fn)
 }
 
 func (pt *PageTable) scanClearFrom(t *table, level int, base arch.VA, fn func(arch.VA)) {
 	span := arch.VA(1) << (arch.PageShift + arch.IndexBits*(level-1))
 	for i := 0; i < arch.EntriesPerTable; i++ {
-		e := t.entries[i]
-		if !e.Flags.Has(Present) {
+		f := Flags(t.pte[i])
+		if !f.Has(Present) {
 			continue
 		}
 		va := base + arch.VA(i)*span
-		if level == 1 || e.Flags.Has(Large) {
-			if e.Flags.Has(Dirty) {
-				e.Flags &^= Dirty
-				t.entries[i] = e
-				fn(va)
-			}
+		if k := t.kid[i]; k != 0 {
+			pt.scanClearFrom(pt.tabs[k], level-1, va, fn)
 			continue
 		}
-		pt.scanClearFrom(pt.tables[e.PFN], level-1, va, fn)
+		if f.Has(Dirty) {
+			t.pte[i] &^= uint64(Dirty)
+			fn(va)
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 // counterpart of Reader. Cold-fault choreography (demand-zero population,
 // fork COW setup, shadow/EPT fix paths) installs long runs of PTEs in
 // ascending VA order; without the cache every installation repeats the same
-// three upper-level map probes.
+// three upper-level table probes.
 //
 // A Mapper is observationally identical to calling PageTable.Map directly:
 // it performs the same allocator calls, fires the same OnWrite events in
@@ -85,7 +85,7 @@ func (m *Mapper) Protect(va arch.VA, flags Flags) bool {
 	if m.t != nil && va-m.base < LargePageSpan {
 		pt := m.pt
 		idx := va.Index(1)
-		e := m.t.entries[idx]
+		e := m.t.entry(idx)
 		if !e.Flags.Has(Present) {
 			return false
 		}
@@ -112,7 +112,7 @@ func (m *Mapper) Unmap(va arch.VA) bool {
 	if m.t != nil && va-m.base < LargePageSpan {
 		pt := m.pt
 		idx := va.Index(1)
-		if !m.t.entries[idx].Flags.Has(Present) {
+		if !Flags(m.t.pte[idx]).Has(Present) {
 			return false
 		}
 		pt.write(1, va, true, m.t, idx, Entry{})
@@ -132,7 +132,7 @@ func (m *Mapper) Unmap(va arch.VA) bool {
 // Lookup is PageTable.Lookup through the span cache.
 func (m *Mapper) Lookup(va arch.VA) (Entry, bool) {
 	if m.t != nil && va-m.base < LargePageSpan {
-		e := m.t.entries[va.Index(1)]
+		e := m.t.entry(va.Index(1))
 		if !e.Flags.Has(Present) {
 			return Entry{}, false
 		}
@@ -146,7 +146,7 @@ func (m *Mapper) Lookup(va arch.VA) (Entry, bool) {
 		m.t = t
 		m.base = va &^ (LargePageSpan - 1)
 	}
-	e := t.entries[idx]
+	e := t.entry(idx)
 	if !e.Flags.Has(Present) {
 		return Entry{}, false
 	}

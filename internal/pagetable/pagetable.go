@@ -122,11 +122,40 @@ type Stats struct {
 	Tables    int64 // live table frames, including the root
 }
 
+// table is one page-table frame. pte holds the entries packed as x86 packs
+// them, PFN<<pfnShift | Flags; kid[i] is the tabs slot of the next-level
+// table that a present non-Large entry i links to (0, the root's slot, means
+// none). The frame holds no pointer, so the garbage collector never scans
+// it, and descending is an array index, not a hash probe.
 type table struct {
-	entries [arch.EntriesPerTable]Entry
+	pte [arch.EntriesPerTable]uint64
+	kid [arch.EntriesPerTable]int32
 }
 
-// tablePool recycles table frames (~8 KiB each) across page tables and
+// pfnShift places the PFN above the 16 flag bits of a packed entry.
+const pfnShift = 16
+
+// maxPFN bounds the PFNs a packed entry can hold: 64 bits less the flags.
+const maxPFN = arch.PFN(1) << (64 - pfnShift)
+
+// pack folds an entry into its in-frame form. It panics rather than
+// truncating a PFN that does not fit.
+func pack(e Entry) uint64 {
+	if e.PFN >= maxPFN {
+		panic(fmt.Sprintf("pagetable: PFN %#x out of packable range", e.PFN))
+	}
+	return uint64(e.PFN)<<pfnShift | uint64(e.Flags)
+}
+
+// unpack recovers an entry from its in-frame form.
+func unpack(p uint64) Entry {
+	return Entry{PFN: arch.PFN(p >> pfnShift), Flags: Flags(p)}
+}
+
+// entry returns entry i of t.
+func (t *table) entry(i int) Entry { return unpack(t.pte[i]) }
+
+// tablePool recycles table frames (6 KiB each) across page tables and
 // engines. Fork/exit-heavy workloads churn thousands of frames; recycling
 // them removes the dominant allocation (and GC pressure) of the simulator's
 // memory hot path. Frames are zeroed when returned, so a pooled frame is
@@ -142,9 +171,13 @@ func putTable(t *table) {
 
 // PageTable is a 4-level radix translation structure.
 type PageTable struct {
-	alloc  *mem.Allocator
-	root   arch.PFN
-	tables map[arch.PFN]*table
+	alloc *mem.Allocator
+	root  arch.PFN
+
+	// tabs holds every live table frame: slot 0 is the root, and each
+	// table is reached from its parent through kid. Slots are appended as
+	// tables are created and are never reused before Destroy.
+	tabs []*table
 
 	// OnWrite, when non-nil, observes every PTE store (including stores
 	// creating intermediate tables). Virtualization layers use it to
@@ -161,9 +194,9 @@ func New(alloc *mem.Allocator) (*PageTable, error) {
 		return nil, err
 	}
 	pt := &PageTable{
-		alloc:  alloc,
-		root:   root,
-		tables: map[arch.PFN]*table{root: newTable()},
+		alloc: alloc,
+		root:  root,
+		tabs:  []*table{newTable()},
 	}
 	pt.stats.Tables = 1
 	return pt, nil
@@ -176,11 +209,34 @@ func (pt *PageTable) Root() arch.PFN { return pt.root }
 func (pt *PageTable) Stats() Stats { return pt.stats }
 
 func (pt *PageTable) write(level int, va arch.VA, leaf bool, t *table, idx int, e Entry) {
-	t.entries[idx] = e
+	t.pte[idx] = pack(e)
 	pt.stats.PTEWrites++
 	if pt.OnWrite != nil {
 		pt.OnWrite(WriteEvent{Level: level, VA: va, Leaf: leaf, Entry: e})
 	}
+}
+
+// descend returns the table below entry idx of t, allocating and linking a
+// fresh one (one PTE store at level) when the entry is absent. It reports
+// the number of PTE stores performed. A 2 MiB leaf at idx has no table
+// below it, so descending through one panics.
+func (pt *PageTable) descend(t *table, level int, va arch.VA, idx int) (*table, int, error) {
+	if k := t.kid[idx]; k != 0 {
+		return pt.tabs[k], 0, nil
+	}
+	if Flags(t.pte[idx]).Has(Present) {
+		panic(fmt.Sprintf("pagetable: descent at %#x (level %d) through a 2 MiB leaf", va, level))
+	}
+	sub, err := pt.alloc.Alloc()
+	if err != nil {
+		return nil, 0, err
+	}
+	nt := newTable()
+	t.kid[idx] = int32(len(pt.tabs))
+	pt.tabs = append(pt.tabs, nt)
+	pt.stats.Tables++
+	pt.write(level, va, false, t, idx, Entry{PFN: sub, Flags: Present | Writable | User})
+	return nt, 1, nil
 }
 
 // Map installs a translation va → pfn with the given flags, creating any
@@ -191,25 +247,16 @@ func (pt *PageTable) Map(va arch.VA, pfn arch.PFN, flags Flags) (writes int, err
 	if !va.Canonical() {
 		return 0, fmt.Errorf("pagetable: non-canonical address %#x", va)
 	}
-	t := pt.tables[pt.root]
+	t := pt.tabs[0]
 	for level := arch.PTLevels; level > 1; level-- {
-		idx := va.Index(level)
-		e := t.entries[idx]
-		if !e.Flags.Has(Present) {
-			sub, aerr := pt.alloc.Alloc()
-			if aerr != nil {
-				return writes, aerr
-			}
-			pt.tables[sub] = newTable()
-			pt.stats.Tables++
-			e = Entry{PFN: sub, Flags: Present | Writable | User}
-			pt.write(level, va, false, t, idx, e)
-			writes++
+		var w int
+		t, w, err = pt.descend(t, level, va, va.Index(level))
+		writes += w
+		if err != nil {
+			return writes, err
 		}
-		t = pt.tables[e.PFN]
 	}
-	idx := va.Index(1)
-	pt.write(1, va, true, t, idx, Entry{PFN: pfn, Flags: flags | Present})
+	pt.write(1, va, true, t, va.Index(1), Entry{PFN: pfn, Flags: flags | Present})
 	writes++
 	pt.stats.Maps++
 	return writes, nil
@@ -224,25 +271,17 @@ func (pt *PageTable) MapLarge(va arch.VA, pfn arch.PFN, flags Flags) (writes int
 		return 0, fmt.Errorf("pagetable: non-canonical address %#x", va)
 	}
 	va = va &^ (LargePageSpan - 1)
-	t := pt.tables[pt.root]
+	t := pt.tabs[0]
 	for level := arch.PTLevels; level > 2; level-- {
-		idx := va.Index(level)
-		e := t.entries[idx]
-		if !e.Flags.Has(Present) {
-			sub, aerr := pt.alloc.Alloc()
-			if aerr != nil {
-				return writes, aerr
-			}
-			pt.tables[sub] = newTable()
-			pt.stats.Tables++
-			e = Entry{PFN: sub, Flags: Present | Writable | User}
-			pt.write(level, va, false, t, idx, e)
-			writes++
+		var w int
+		t, w, err = pt.descend(t, level, va, va.Index(level))
+		writes += w
+		if err != nil {
+			return writes, err
 		}
-		t = pt.tables[e.PFN]
 	}
 	idx := va.Index(2)
-	if old := t.entries[idx]; old.Flags.Has(Present) && !old.Flags.Has(Large) {
+	if t.kid[idx] != 0 {
 		return writes, fmt.Errorf("pagetable: 4K table already present at %#x; split required", va)
 	}
 	pt.write(2, va, true, t, idx, Entry{PFN: pfn, Flags: flags | Present | Large})
@@ -251,18 +290,28 @@ func (pt *PageTable) MapLarge(va arch.VA, pfn arch.PFN, flags Flags) (writes int
 	return writes, nil
 }
 
+// upper descends from the root to the level-2 table covering va, or returns
+// nil when no such table exists.
+func (pt *PageTable) upper(va arch.VA) *table {
+	t := pt.tabs[0]
+	for level := arch.PTLevels; level > 2; level-- {
+		k := t.kid[va.Index(level)]
+		if k == 0 {
+			return nil
+		}
+		t = pt.tabs[k]
+	}
+	return t
+}
+
 // LookupLarge peeks at the level-2 entry covering va, reporting whether a
 // huge mapping is installed there.
 func (pt *PageTable) LookupLarge(va arch.VA) (Entry, bool) {
-	t := pt.tables[pt.root]
-	for level := arch.PTLevels; level > 2; level-- {
-		e := t.entries[va.Index(level)]
-		if !e.Flags.Has(Present) {
-			return Entry{}, false
-		}
-		t = pt.tables[e.PFN]
+	t := pt.upper(va)
+	if t == nil {
+		return Entry{}, false
 	}
-	e := t.entries[va.Index(2)]
+	e := t.entry(va.Index(2))
 	if !e.Flags.Has(Present) || !e.Flags.Has(Large) {
 		return Entry{}, false
 	}
@@ -272,16 +321,12 @@ func (pt *PageTable) LookupLarge(va arch.VA) (Entry, bool) {
 // UnmapLarge clears the level-2 huge entry covering va. It reports whether
 // one was present.
 func (pt *PageTable) UnmapLarge(va arch.VA) bool {
-	t := pt.tables[pt.root]
-	for level := arch.PTLevels; level > 2; level-- {
-		e := t.entries[va.Index(level)]
-		if !e.Flags.Has(Present) {
-			return false
-		}
-		t = pt.tables[e.PFN]
+	t := pt.upper(va)
+	if t == nil {
+		return false
 	}
 	idx := va.Index(2)
-	if e := t.entries[idx]; !e.Flags.Has(Present) || !e.Flags.Has(Large) {
+	if f := Flags(t.pte[idx]); !f.Has(Present) || !f.Has(Large) {
 		return false
 	}
 	pt.write(2, va&^(LargePageSpan-1), true, t, idx, Entry{})
@@ -293,7 +338,7 @@ func (pt *PageTable) UnmapLarge(va arch.VA) bool {
 // real kernels do). It reports whether a mapping was present.
 func (pt *PageTable) Unmap(va arch.VA) bool {
 	t, idx, ok := pt.leaf(va)
-	if !ok || !t.entries[idx].Flags.Has(Present) {
+	if !ok || !Flags(t.pte[idx]).Has(Present) {
 		return false
 	}
 	pt.write(1, va, true, t, idx, Entry{})
@@ -306,10 +351,10 @@ func (pt *PageTable) Unmap(va arch.VA) bool {
 // whether the mapping existed.
 func (pt *PageTable) Protect(va arch.VA, flags Flags) bool {
 	t, idx, ok := pt.leaf(va)
-	if !ok || !t.entries[idx].Flags.Has(Present) {
+	if !ok || !Flags(t.pte[idx]).Has(Present) {
 		return false
 	}
-	e := t.entries[idx]
+	e := t.entry(idx)
 	e.Flags = flags | Present
 	pt.write(1, va, true, t, idx, e)
 	pt.stats.Protects++
@@ -319,13 +364,13 @@ func (pt *PageTable) Protect(va arch.VA, flags Flags) bool {
 // leaf walks to the leaf table without permission checks or A/D updates.
 // Large (level-2) leaves are not 4K leaves; use LookupLarge for those.
 func (pt *PageTable) leaf(va arch.VA) (*table, int, bool) {
-	t := pt.tables[pt.root]
+	t := pt.tabs[0]
 	for level := arch.PTLevels; level > 1; level-- {
-		e := t.entries[va.Index(level)]
-		if !e.Flags.Has(Present) || e.Flags.Has(Large) {
+		k := t.kid[va.Index(level)]
+		if k == 0 {
 			return nil, 0, false
 		}
-		t = pt.tables[e.PFN]
+		t = pt.tabs[k]
 	}
 	return t, va.Index(1), true
 }
@@ -336,7 +381,7 @@ func (pt *PageTable) Lookup(va arch.VA) (Entry, bool) {
 	if !ok {
 		return Entry{}, false
 	}
-	e := t.entries[idx]
+	e := t.entry(idx)
 	if !e.Flags.Has(Present) {
 		return Entry{}, false
 	}
@@ -353,38 +398,34 @@ func (pt *PageTable) Walk(va arch.VA, write, user bool) (Entry, int, *Fault) {
 		pt.stats.Faults++
 		return Entry{}, 0, &Fault{Kind: FaultNotPresent, Level: arch.PTLevels, VA: va, Write: write, User: user}
 	}
-	t := pt.tables[pt.root]
+	t := pt.tabs[0]
 	levels := 0
 	for level := arch.PTLevels; level > 1; level-- {
 		levels++
 		idx := va.Index(level)
-		e := t.entries[idx]
+		if k := t.kid[idx]; k != 0 {
+			t = pt.tabs[k]
+			continue
+		}
+		e := t.entry(idx)
 		if !e.Flags.Has(Present) {
 			pt.stats.Faults++
 			return Entry{}, levels, &Fault{Kind: FaultNotPresent, Level: level, VA: va, Write: write, User: user}
 		}
-		if e.Flags.Has(Large) {
-			// 2 MiB leaf at level 2.
-			switch {
-			case user && !e.Flags.Has(User):
-				pt.stats.Faults++
-				return Entry{}, levels, &Fault{Kind: FaultPrivilege, VA: va, Write: write, User: user}
-			case write && !e.Flags.Has(Writable):
-				pt.stats.Faults++
-				return Entry{}, levels, &Fault{Kind: FaultProtection, VA: va, Write: write, User: user}
-			}
-			e.Flags |= Accessed
-			if write {
-				e.Flags |= Dirty
-			}
-			t.entries[idx] = e
-			return e, levels, nil
+		// A present entry with no table below is a 2 MiB leaf at level 2.
+		switch {
+		case user && !e.Flags.Has(User):
+			pt.stats.Faults++
+			return Entry{}, levels, &Fault{Kind: FaultPrivilege, VA: va, Write: write, User: user}
+		case write && !e.Flags.Has(Writable):
+			pt.stats.Faults++
+			return Entry{}, levels, &Fault{Kind: FaultProtection, VA: va, Write: write, User: user}
 		}
-		t = pt.tables[e.PFN]
+		return t.setAD(idx, e, write), levels, nil
 	}
 	levels++
 	idx := va.Index(1)
-	e := t.entries[idx]
+	e := t.entry(idx)
 	switch {
 	case !e.Flags.Has(Present):
 		pt.stats.Faults++
@@ -396,36 +437,41 @@ func (pt *PageTable) Walk(va arch.VA, write, user bool) (Entry, int, *Fault) {
 		pt.stats.Faults++
 		return Entry{}, levels, &Fault{Kind: FaultProtection, VA: va, Write: write, User: user}
 	}
-	// Set A/D bits silently (hardware A/D assists do not trap).
+	return t.setAD(idx, e, write), levels, nil
+}
+
+// setAD sets Accessed (and, for a write, Dirty) on leaf idx, whose current
+// contents are e, and returns the updated entry. The store is silent:
+// hardware A/D assists do not trap.
+func (t *table) setAD(idx int, e Entry, write bool) Entry {
 	e.Flags |= Accessed
 	if write {
 		e.Flags |= Dirty
 	}
-	t.entries[idx] = e
-	return e, levels, nil
+	t.pte[idx] = pack(e)
+	return e
 }
 
 // Range calls fn for every present leaf mapping, in ascending VA order.
 // Returning false from fn stops the iteration.
 func (pt *PageTable) Range(fn func(va arch.VA, e Entry) bool) {
-	pt.rangeFrom(pt.tables[pt.root], arch.PTLevels, 0, fn)
+	pt.rangeFrom(pt.tabs[0], arch.PTLevels, 0, fn)
 }
 
 func (pt *PageTable) rangeFrom(t *table, level int, base arch.VA, fn func(arch.VA, Entry) bool) bool {
 	span := arch.VA(1) << (arch.PageShift + arch.IndexBits*(level-1))
 	for i := 0; i < arch.EntriesPerTable; i++ {
-		e := t.entries[i]
-		if !e.Flags.Has(Present) {
+		if !Flags(t.pte[i]).Has(Present) {
 			continue
 		}
 		va := base + arch.VA(i)*span
-		if level == 1 || e.Flags.Has(Large) {
-			if !fn(va, e) {
+		if k := t.kid[i]; k != 0 {
+			if !pt.rangeFrom(pt.tabs[k], level-1, va, fn) {
 				return false
 			}
 			continue
 		}
-		if !pt.rangeFrom(pt.tables[e.PFN], level-1, va, fn) {
+		if !fn(va, t.entry(i)) {
 			return false
 		}
 	}
@@ -445,19 +491,21 @@ func (pt *PageTable) CountMapped() int {
 // afterwards.
 func (pt *PageTable) Destroy() error {
 	frames := pt.TableFrames()
-	if len(frames) != len(pt.tables) {
-		// Every table is linked from its parent by a Present entry (Unmap
-		// never clears intermediate entries), so the walk must see them
-		// all; anything else is a structural corruption.
-		return fmt.Errorf("pagetable: Destroy reached %d of %d tables", len(frames), len(pt.tables))
+	if len(frames) != len(pt.tabs) {
+		// Every table is linked from its parent (Unmap never clears
+		// intermediate entries), so the walk must see them all; anything
+		// else is a structural corruption.
+		return fmt.Errorf("pagetable: Destroy reached %d of %d tables", len(frames), len(pt.tabs))
 	}
 	for _, pfn := range frames {
 		if _, err := pt.alloc.Free(pfn); err != nil {
 			return err
 		}
-		putTable(pt.tables[pfn])
 	}
-	pt.tables = nil
+	for _, t := range pt.tabs {
+		putTable(t)
+	}
+	pt.tabs = nil
 	pt.stats.Tables = 0
 	return nil
 }
@@ -467,17 +515,18 @@ func (pt *PageTable) Destroy() error {
 // it, siblings in ascending VA order. Shadowing layers write-protect exactly
 // these frames in the shadow structure to trap guest page-table stores.
 func (pt *PageTable) TableFrames() []arch.PFN {
-	return pt.postOrder(pt.root, arch.PTLevels, make([]arch.PFN, 0, len(pt.tables)))
+	out := pt.postOrder(pt.tabs[0], make([]arch.PFN, 0, len(pt.tabs)))
+	return append(out, pt.root)
 }
 
-func (pt *PageTable) postOrder(pfn arch.PFN, level int, out []arch.PFN) []arch.PFN {
-	if level > 1 {
-		t := pt.tables[pfn]
-		for i := range t.entries {
-			if e := t.entries[i]; e.Flags.Has(Present) && !e.Flags.Has(Large) {
-				out = pt.postOrder(e.PFN, level-1, out)
-			}
+// postOrder appends the frames of the tables below t, each after its own
+// subtree.
+func (pt *PageTable) postOrder(t *table, out []arch.PFN) []arch.PFN {
+	for i, k := range t.kid {
+		if k != 0 {
+			out = pt.postOrder(pt.tabs[k], out)
+			out = append(out, arch.PFN(t.pte[i]>>pfnShift))
 		}
 	}
-	return append(out, pfn)
+	return out
 }

@@ -1,9 +1,11 @@
 package pagetable
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/arch"
 	"repro/internal/mem"
@@ -388,5 +390,65 @@ func TestMapLargeConflictsWithSmallTable(t *testing.T) {
 	}
 	if _, err := pt.MapLarge(0x1000, 2, Writable); err == nil {
 		t.Error("MapLarge over an existing 4K table should require a split")
+	}
+}
+
+// TestPackRoundTrip checks that every flag bit and PFNs up to the packable
+// limit survive an entry's in-frame packing.
+func TestPackRoundTrip(t *testing.T) {
+	all := Present | Writable | User | Global | Accessed | Dirty | NoExec | Large
+	for _, pfn := range []arch.PFN{0, 1, 0x1000, 0xdeadbeef, maxPFN - 1} {
+		for bit := Present; bit <= Large; bit <<= 1 {
+			for _, f := range []Flags{bit, all &^ bit} {
+				e := Entry{PFN: pfn, Flags: f}
+				if got := unpack(pack(e)); got != e {
+					t.Errorf("unpack(pack(%+v)) = %+v", e, got)
+				}
+			}
+		}
+		if e := (Entry{PFN: pfn, Flags: all}); unpack(pack(e)) != e {
+			t.Errorf("all flags at PFN %#x do not round-trip", pfn)
+		}
+	}
+}
+
+// TestPackPanicsOutOfRange checks that a PFN the packed form cannot hold
+// panics instead of aliasing a smaller frame.
+func TestPackPanicsOutOfRange(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("pack accepted PFN 2^48")
+		}
+	}()
+	pt := newPT(t)
+	pt.Map(0x1000, arch.PFN(1)<<48, Writable)
+}
+
+// TestTableFrameLayout pins the table frame at 6 KiB and pointer-free, so
+// the garbage collector never scans the frames.
+func TestTableFrameLayout(t *testing.T) {
+	if got := unsafe.Sizeof(table{}); got != 6144 {
+		t.Errorf("table frame is %d bytes, want 6144", got)
+	}
+	var noPointers func(reflect.Type) bool
+	noPointers = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Array:
+			return noPointers(typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if !noPointers(typ.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+			return true
+		}
+		return false
+	}
+	if !noPointers(reflect.TypeOf(table{})) {
+		t.Error("table frame holds a pointer")
 	}
 }

@@ -8,7 +8,7 @@ import (
 // caching the leaf table of the most recently resolved 2 MiB span. The
 // ranged access paths in the backends resolve thousands of consecutive
 // pages per call; without the cache every page repeats the same three
-// upper-level map probes.
+// upper-level table probes.
 //
 // A Reader is observationally identical to calling the PageTable methods
 // directly: Walk through a Reader performs the same permission checks,
@@ -59,7 +59,7 @@ func (r *Reader) Lookup(va arch.VA) (Entry, bool) {
 	if !ok {
 		return Entry{}, false
 	}
-	e := t.entries[va.Index(1)]
+	e := t.entry(va.Index(1))
 	if !e.Flags.Has(Present) {
 		return Entry{}, false
 	}
@@ -86,7 +86,7 @@ func (r *Reader) Walk(va arch.VA, write, user bool) (Entry, int, *Fault) {
 	// checks of PageTable.Walk remain.
 	pt.stats.Walks++
 	idx := va.Index(1)
-	e := r.t.entries[idx]
+	e := r.t.entry(idx)
 	switch {
 	case !e.Flags.Has(Present):
 		pt.stats.Faults++
@@ -98,11 +98,5 @@ func (r *Reader) Walk(va arch.VA, write, user bool) (Entry, int, *Fault) {
 		pt.stats.Faults++
 		return Entry{}, arch.PTLevels, &Fault{Kind: FaultProtection, VA: va, Write: write, User: user}
 	}
-	// Set A/D bits silently (hardware A/D assists do not trap).
-	e.Flags |= Accessed
-	if write {
-		e.Flags |= Dirty
-	}
-	r.t.entries[idx] = e
-	return e, arch.PTLevels, nil
+	return r.t.setAD(idx, e, write), arch.PTLevels, nil
 }

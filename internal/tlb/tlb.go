@@ -11,19 +11,23 @@
 // of nodes preallocated at construction, so the steady-state hot path —
 // Lookup and Insert on a warm TLB — performs no heap allocation at all.
 //
-// Tags are packed into a single uint64 (VPN | PCID | VPID) so the entry map
-// hashes an integer key instead of a struct, and a one-entry "micro-TLB"
-// (last resolved tag + its node index, stamped with a structural generation
-// counter) sits in front of the map. The generation is bumped by every
-// insert and every entry removal (page zaps and all flush variants), so a
-// stale micro entry can never be observed — correctness does not depend on
-// callers invalidating anything. LookupRange resolves a run of consecutive
+// The TLB is fully associative: any tag may occupy any slot, and eviction
+// takes the globally least recently used entry. Tags are packed into a
+// single uint64 (VPN | PCID | VPID) and found through an open-addressed
+// index of node numbers (linear probing, backward-shift deletion), and a
+// one-entry "micro-TLB" (last resolved tag + its node index, stamped with a
+// structural generation counter) sits in front of the index. The generation
+// is bumped by every insert and every entry removal (page zaps and all flush
+// variants), so a stale micro entry can never be observed — correctness
+// does not depend on callers invalidating anything. LookupRange resolves a run of consecutive
 // pages with per-page semantics identical to repeated Lookup calls
 // (same hit/miss accounting, same LRU reordering) but without re-deriving
 // the tag from scratch on every page.
 package tlb
 
 import (
+	"math/bits"
+
 	"repro/internal/arch"
 )
 
@@ -99,7 +103,7 @@ type node struct {
 	// assignment is frozen (Insert, eviction, and release all bump gen),
 	// so a matching runGen guarantees the linked slot still caches the
 	// consecutive page — LookupRange follows these links instead of
-	// hashing the map for every page of a hit run.
+	// probing the index for every page of a hit run.
 	run    int32
 	runGen uint64
 }
@@ -107,11 +111,18 @@ type node struct {
 // TLB is a capacity-bounded, LRU-evicting, tagged TLB.
 type TLB struct {
 	capacity int
-	entries  map[uint64]int32
+	live     int    // entries cached
 	nodes    []node // all capacity slots, allocated once
-	head     int32  // most recently used, or none
-	tail     int32  // least recently used, or none
-	free     int32  // chain of unused slots through next
+
+	// index finds a tag's node: each slot holds node+1, or 0 when empty.
+	// Its length is a power of two at least twice the capacity, so probe
+	// runs stay short; a tag probes linearly from home(tag).
+	index []int32
+	shift uint // 64 - log2(len(index))
+
+	head int32 // most recently used, or none
+	tail int32 // least recently used, or none
+	free int32 // chain of unused slots through next
 
 	// Micro-TLB: the last tag resolved by a lookup or insert, and the
 	// node it lives in. Valid only while microGen == gen; gen advances
@@ -126,7 +137,7 @@ type TLB struct {
 }
 
 // New creates a TLB holding up to capacity entries (capacity <= 0 panics).
-// The node arena and map are allocated at full geometry by the first Insert,
+// The node arena and index are allocated at full geometry by the first Insert,
 // not here: a process that never touches a page (a short-lived fork child,
 // say) pays nothing for its TLB, which keeps per-process construction off
 // the lifecycle hot paths, while a faulting process pays the one-time
@@ -174,14 +185,55 @@ func (t *TLB) pushFront(i int32) {
 	}
 }
 
+// home returns the index slot a tag's probe starts at: a Fibonacci hash,
+// which spreads the consecutive VPNs of one address space across the index.
+func (t *TLB) home(k uint64) int {
+	return int((k * 0x9E3779B97F4A7C15) >> t.shift)
+}
+
+// probe returns the index slot holding tag k and its node, or the empty
+// slot that ends k's probe run and none.
+func (t *TLB) probe(k uint64) (pos int, i int32) {
+	mask := len(t.index) - 1
+	for pos = t.home(k); ; pos = (pos + 1) & mask {
+		n := t.index[pos]
+		if n == 0 {
+			return pos, none
+		}
+		if t.nodes[n-1].key == k {
+			return pos, n - 1
+		}
+	}
+}
+
+// unindex empties index slot pos and shifts later members of its probe run
+// back, so that every remaining tag stays reachable from its home slot
+// without tombstones.
+func (t *TLB) unindex(pos int) {
+	mask := len(t.index) - 1
+	for j := (pos + 1) & mask; t.index[j] != 0; j = (j + 1) & mask {
+		// The tag at j may fill the hole at pos unless its home lies
+		// cyclically after pos (in (pos, j]).
+		if (j-t.home(t.nodes[t.index[j]-1].key))&mask >= (j-pos)&mask {
+			t.index[pos] = t.index[j]
+			pos = j
+		}
+	}
+	t.index[pos] = 0
+	t.live--
+}
+
 // find resolves a packed tag to its node index, consulting the micro-TLB
-// before the map.
+// before the index.
 func (t *TLB) find(k uint64) (int32, bool) {
 	if t.microGen == t.gen && t.microKey == k {
 		return t.microNode, true
 	}
-	i, ok := t.entries[k]
-	return i, ok
+	if t.index == nil {
+		return none, false
+	}
+	_, i := t.probe(k)
+	return i, i != none
 }
 
 // remember caches (k -> node i) in the micro-TLB.
@@ -224,9 +276,9 @@ func (t *TLB) Lookup(vpid arch.VPID, pcid arch.PCID, va arch.VA, write bool) (En
 // miss (when the run is shorter than the request). The work that per-page
 // Lookup repeats is amortized: the tag is packed once (consecutive pages
 // differ by one in the packed form), hits inside a run follow the nodes'
-// run links instead of hashing the map, and the hit count is added in one
+// run links instead of probing the index, and the hit count is added in one
 // step. None of that is observable: the micro-TLB and run links only ever
-// short-circuit to the same node the map holds.
+// short-circuit to the same node the index holds.
 func (t *TLB) LookupRange(vpid arch.VPID, pcid arch.PCID, va arch.VA, pages int, write bool) int {
 	k := pack(vpid, pcid, va.PageNumber())
 	prev := none
@@ -270,17 +322,23 @@ func (t *TLB) LookupRange(vpid arch.VPID, pcid arch.PCID, va arch.VA, pages int,
 }
 
 // Insert caches a translation, evicting the least recently used entry when
-// full. Steady-state (warm map) insertion does not allocate.
+// full. Insertion after the first does not allocate.
 func (t *TLB) Insert(vpid arch.VPID, pcid arch.PCID, va arch.VA, e Entry) {
-	if t.entries == nil {
+	if t.index == nil {
 		// First insert: allocate the full geometry in one step (see New) so
-		// no later insert pays map growth or arena reallocation.
-		t.entries = make(map[uint64]int32, t.capacity)
+		// no later insert pays index growth or arena reallocation.
+		size := 2
+		for size < 2*t.capacity {
+			size <<= 1
+		}
+		t.index = make([]int32, size)
+		t.shift = uint(64 - bits.TrailingZeros(uint(size)))
 		t.nodes = make([]node, 0, t.capacity)
 	}
 	k := pack(vpid, pcid, va.PageNumber())
 	t.gen++
-	if i, ok := t.entries[k]; ok {
+	pos, i := t.probe(k)
+	if i != none {
 		t.nodes[i].ent = e
 		if t.head != i {
 			t.detach(i)
@@ -289,7 +347,6 @@ func (t *TLB) Insert(vpid arch.VPID, pcid arch.PCID, va arch.VA, e Entry) {
 		t.remember(k, i)
 		return
 	}
-	var i int32
 	switch {
 	case t.free != none:
 		i = t.free
@@ -302,22 +359,27 @@ func (t *TLB) Insert(vpid arch.VPID, pcid arch.PCID, va arch.VA, e Entry) {
 		// Full: reuse the least recently used slot.
 		i = t.tail
 		t.detach(i)
-		delete(t.entries, t.nodes[i].key)
+		vpos, _ := t.probe(t.nodes[i].key)
+		t.unindex(vpos)
 		t.stats.Evictions++
+		// The shift may have moved k's probe run; find its end again.
+		pos, _ = t.probe(k)
 	}
 	t.nodes[i].key = k
 	t.nodes[i].ent = e
 	t.pushFront(i)
-	t.entries[k] = i
+	t.index[pos] = i + 1
+	t.live++
 	t.remember(k, i)
 	t.stats.Inserts++
 }
 
 // release returns slot i (already detached from the LRU chain) to the free
-// list and drops its map entry. Bumping gen invalidates the micro-TLB.
-func (t *TLB) release(i int32) {
+// list and empties its index slot pos. Bumping gen invalidates the
+// micro-TLB.
+func (t *TLB) release(i int32, pos int) {
 	t.gen++
-	delete(t.entries, t.nodes[i].key)
+	t.unindex(pos)
 	t.nodes[i].next = t.free
 	t.free = i
 }
@@ -326,9 +388,12 @@ func (t *TLB) release(i int32) {
 func (t *TLB) FlushPage(vpid arch.VPID, pcid arch.PCID, va arch.VA) {
 	t.stats.FlushPage++
 	k := pack(vpid, pcid, va.PageNumber())
-	if i, ok := t.entries[k]; ok {
+	if t.index == nil {
+		return
+	}
+	if pos, i := t.probe(k); i != none {
 		t.detach(i)
-		t.release(i)
+		t.release(i, pos)
 		t.stats.FlushedEnts++
 	}
 }
@@ -366,7 +431,8 @@ func (t *TLB) flushWhere(pred func(uint64, Entry) bool) int {
 		next := t.nodes[i].next
 		if pred(t.nodes[i].key, t.nodes[i].ent) {
 			t.detach(i)
-			t.release(i)
+			pos, _ := t.probe(t.nodes[i].key)
+			t.release(i, pos)
 			n++
 		}
 		i = next
@@ -376,7 +442,7 @@ func (t *TLB) flushWhere(pred func(uint64, Entry) bool) int {
 }
 
 // Len returns the number of live entries.
-func (t *TLB) Len() int { return len(t.entries) }
+func (t *TLB) Len() int { return t.live }
 
 // Range calls fn for every live entry in LRU order (most recently used
 // first) until fn returns false. It is a pure read: no stats movement, no

@@ -85,7 +85,7 @@ type CPUState struct {
 
 // VMCS is one VM control structure. Reads and writes are counted; when the
 // structure is *not* hardware-shadowed and the accessor runs in non-root
-// mode, each access traps to L0 (the OnTrappedAccess hook charges it). This
+// mode, each access traps to L0 (Access reports how many did). This
 // reproduces the motivation for VMCS shadowing: handling one L2 world switch
 // touches the VMCS dozens of times (§2.1, 40–50 exits without shadowing).
 type VMCS struct {
@@ -102,10 +102,6 @@ type VMCS struct {
 	// non-root VMREAD/VMWRITE do not trap.
 	Shadowed bool
 
-	// OnTrappedAccess, when set, is invoked for each non-root access to
-	// a non-shadowed VMCS (the L0 trap path).
-	OnTrappedAccess func()
-
 	reads  atomic.Int64
 	writes atomic.Int64
 	merges atomic.Int64
@@ -114,20 +110,16 @@ type VMCS struct {
 // NewVMCS returns a named, zeroed VMCS.
 func NewVMCS(name string) *VMCS { return &VMCS{Name: name} }
 
-// Read models a VMREAD performed from the given mode.
-func (v *VMCS) Read(mode arch.Mode) {
-	v.reads.Add(1)
-	if mode == arch.NonRootMode && !v.Shadowed && v.OnTrappedAccess != nil {
-		v.OnTrappedAccess()
+// Access models reads VMREADs and writes VMWRITEs performed from the given
+// mode, and returns how many of them trap to L0: all of them from non-root
+// mode on a VMCS without hardware shadowing, none otherwise.
+func (v *VMCS) Access(mode arch.Mode, reads, writes int) (trapped int) {
+	v.reads.Add(int64(reads))
+	v.writes.Add(int64(writes))
+	if mode == arch.NonRootMode && !v.Shadowed {
+		return reads + writes
 	}
-}
-
-// Write models a VMWRITE performed from the given mode.
-func (v *VMCS) Write(mode arch.Mode) {
-	v.writes.Add(1)
-	if mode == arch.NonRootMode && !v.Shadowed && v.OnTrappedAccess != nil {
-		v.OnTrappedAccess()
-	}
+	return 0
 }
 
 // Accesses returns total reads and writes.

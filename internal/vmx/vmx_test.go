@@ -33,27 +33,17 @@ func TestVMCSTrappedAccesses(t *testing.T) {
 	// Without VMCS shadowing, every non-root VMREAD/VMWRITE traps —
 	// the 40–50 exits per nested world switch the paper cites (§2.1).
 	v := NewVMCS("vmcs12")
-	traps := 0
-	v.OnTrappedAccess = func() { traps++ }
-	for i := 0; i < 20; i++ {
-		v.Read(arch.NonRootMode)
-		v.Write(arch.NonRootMode)
-	}
-	if traps != 40 {
+	if traps := v.Access(arch.NonRootMode, 20, 20); traps != 40 {
 		t.Errorf("non-shadowed accesses trapped %d times, want 40", traps)
 	}
 	// Root-mode accesses never trap.
-	v.Read(arch.RootMode)
-	v.Write(arch.RootMode)
-	if traps != 40 {
-		t.Error("root-mode access trapped")
+	if traps := v.Access(arch.RootMode, 1, 1); traps != 0 {
+		t.Errorf("root-mode accesses trapped %d times", traps)
 	}
 	// With shadowing enabled, non-root accesses stop trapping.
 	v.Shadowed = true
-	v.Read(arch.NonRootMode)
-	v.Write(arch.NonRootMode)
-	if traps != 40 {
-		t.Error("shadowed access trapped")
+	if traps := v.Access(arch.NonRootMode, 1, 1); traps != 0 {
+		t.Errorf("shadowed accesses trapped %d times", traps)
 	}
 	r, w := v.Accesses()
 	if r != 22 || w != 22 {
